@@ -1,8 +1,8 @@
 // Execution-trace example: record the op-level timeline AND the phase
-// (region) tree of one KAMI-1D block, then emit:
+// spans of one KAMI-1D block, then emit:
 //   * an enriched Chrome/Perfetto trace (op events per warp + named phase
 //     tracks) — the simulator's equivalent of an Nsight timeline;
-//   * the kernel -> phase self/total-cycle tree;
+//   * the kernel -> phase span trace, one line per phase occurrence;
 //   * warp-cycles per op kind attributed to the innermost phase.
 //
 //   $ ./trace_timeline          # writes kami_1d_64.trace.json
@@ -14,18 +14,6 @@
 #include "core/kami.hpp"
 #include "obs/trace_analysis.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-void print_region_tree(const kami::obs::RegionNode& node, int depth) {
-  using kami::fmt_double;
-  std::cout << std::string(static_cast<std::size_t>(depth) * 2, ' ') << node.name
-            << ": total " << fmt_double(node.total_cycles, 0) << " cycles, self "
-            << fmt_double(node.self_cycles(), 0) << " (x" << node.count << ")\n";
-  for (const auto& ch : node.children) print_region_tree(*ch, depth + 1);
-}
-
-}  // namespace
 
 int main() {
   using namespace kami;
@@ -61,11 +49,10 @@ int main() {
   }
   t.print(std::cout, "KAMI-1D 64x64 FP16 on GH200: op-level timeline summary");
 
-  std::cout << "\nPhase tree (simulated cycles):\n";
-  for (const auto& ch : r.regions->root().children) print_region_tree(*ch, 0);
+  std::cout << "\nPhase spans (simulated cycles):\n" << r.regions->canonical_text();
 
   // kernel -> phase -> op-kind: warp-cycles per op attributed to the
-  // innermost region whose interval contains the op's issue time.
+  // innermost phase span whose interval contains the op's issue time.
   TablePrinter po({"phase", "op kind", "warp-cycles"});
   for (const auto& rb : obs::region_op_breakdown(*r.trace, *r.regions))
     for (const auto& [kind, cycles] : rb.op_cycles)

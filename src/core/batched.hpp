@@ -67,7 +67,9 @@ BatchedPerf kami_batched_perf(const sim::DeviceSpec& dev, std::size_t m, std::si
   return perf;
 }
 
-/// Full-value batched execution; shapes may vary per entry.
+/// Full-value batched execution; shapes may vary per entry. The result holds
+/// no per-entry trace or phases, so GemmOptions::record_trace and
+/// record_regions do not change what runs.
 template <Scalar T>
 BatchedResult<T> kami_batched_gemm(const sim::DeviceSpec& dev,
                                    std::span<const Matrix<T>> As,
@@ -92,7 +94,7 @@ BatchedResult<T> kami_batched_gemm(const sim::DeviceSpec& dev,
   std::map<std::array<std::size_t, 3>, sim::KernelProfile> shape_profiles;
   double total_flops = 0.0;
 
-  if (opt.mode == sim::ExecMode::Full && !opt.record_trace && !opt.record_regions) {
+  if (opt.mode == sim::ExecMode::Full) {
     // Fast path: one TimingOnly simulation per distinct shape (served by
     // the profile cache across calls), then every entry's values run the
     // NumericsOnly path. Results and profiles are bit-identical to the
@@ -198,7 +200,7 @@ Matrix<T> kami_gemm_strided_batched(const sim::DeviceSpec& dev, const Matrix<T>&
                    std::to_string(k) + " but B blocks are " +
                    std::to_string(Bstack.rows() / batch) + "x" + std::to_string(n));
 
-  if (opt.mode == sim::ExecMode::Full && !opt.record_trace && !opt.record_regions) {
+  if (opt.mode == sim::ExecMode::Full) {
     // Zero-copy fast path: every block shares one (m, n, k), so one cached
     // TimingOnly simulation establishes feasibility (surfacing the same
     // planner exception the staged path would), and the numeric kernel runs

@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "model/registers.hpp"
-#include "obs/region.hpp"
+#include "obs/trace_span.hpp"
 #include "sim/exec_mode.hpp"
 #include "sim/throughput.hpp"
 #include "types/matrix.hpp"
@@ -47,8 +47,8 @@ struct GemmOptions {
   /// Record an op-level timeline (sim/trace.hpp) into GemmResult::trace.
   bool record_trace = false;
 
-  /// Record a hierarchical phase profile (obs/region.hpp) keyed to simulated
-  /// cycles into GemmResult::regions.
+  /// Record the kernel's phases as spans on the simulated clock
+  /// (core/phase_scope.hpp) into GemmResult::regions.
   bool record_regions = false;
 
   /// Worker threads for fan-out drivers (batched entries, autotune
@@ -76,8 +76,9 @@ struct GemmResult {
   int warps = 0;           ///< the p actually used
   double smem_ratio = 0.0; ///< the spill ratio actually used
   std::shared_ptr<sim::Trace> trace;  ///< set when GemmOptions::record_trace
-  /// Frozen phase tree; set when GemmOptions::record_regions.
-  std::shared_ptr<obs::RegionProfiler> regions;
+  /// Phase trace: a root span for the kernel with one child span per phase
+  /// occurrence; set when GemmOptions::record_regions.
+  std::shared_ptr<const obs::RequestTrace> regions;
 };
 
 }  // namespace kami::core

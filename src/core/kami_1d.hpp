@@ -27,6 +27,7 @@
 
 #include "core/gemm.hpp"
 #include "core/numeric_path.hpp"
+#include "core/phase_scope.hpp"
 #include "core/planner.hpp"
 #include "core/sliced_operand.hpp"
 #include "model/cost_model.hpp"
@@ -58,12 +59,10 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   blk.set_deadline(opt.deadline_cycles);
   if (opt.record_trace) blk.enable_trace();
 
-  // Optional phase profile keyed to the block's simulated clock. The
-  // profiler is frozen (clock detached) before `blk` goes out of scope.
-  std::shared_ptr<obs::RegionProfiler> regions;
-  if (opt.record_regions)
-    regions = std::make_shared<obs::RegionProfiler>([&blk] { return blk.cycles(); });
-  obs::RegionProfiler* rp = regions.get();
+  // Optional phase trace on the block's simulated clock (core/phase_scope.hpp).
+  std::optional<obs::TraceBuilder> phases;
+  if (opt.record_regions) phases.emplace("kami_1d", "kami_1d", blk.cycles());
+  obs::TraceBuilder* const ph = phases ? &*phases : nullptr;
 
   // Per-warp state, indexed by warp id (phases run warps in id order).
   std::vector<SlicedOperand<T>> Aop;
@@ -78,9 +77,8 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   const bool a_spills = plan.a.spilled_slices_total() > 0;
   if (a_spills) Ascratch.reserve(p);
 
-  obs::ScopedRegion r_kernel(rp, "kami_1d");
   {
-    obs::ScopedRegion r_setup(rp, "setup");
+    PhaseScope r_setup(ph, blk, "setup");
     blk.phase([&](sim::Warp& w) {
       w.set_gmem_charging(opt.charge_global_io);
       const auto i = static_cast<std::size_t>(w.id());
@@ -112,7 +110,7 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     // Write phase: the owner publishes its resident slice (lines 6-7);
     // spilled slices are already in its shared-memory region.
     {
-      obs::ScopedRegion r(rp, "broadcast_write");
+      PhaseScope r(ph, blk, "broadcast_write");
       blk.phase([&](sim::Warp& w) {
         if (static_cast<std::size_t>(w.id()) != owner) return;
         if (resident) w.store_smem(SmB, Bop[owner]->resident_slice(ls), opt.theta_w);
@@ -124,7 +122,7 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     // Read phase: everyone else pulls the slice (line 10), serialized on
     // the shared-memory port.
     {
-      obs::ScopedRegion r(rp, "broadcast_read");
+      PhaseScope r(ph, blk, "broadcast_read");
       blk.phase([&](sim::Warp& w) {
         const auto i = static_cast<std::size_t>(w.id());
         if (i == owner) return;
@@ -139,7 +137,7 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
 
     // Compute phase (line 12): Ci += A_i[:, stripe z] x BRecv.
     {
-      obs::ScopedRegion r(rp, "compute");
+      PhaseScope r(ph, blk, "compute");
       blk.phase([&](sim::Warp& w) {
         const auto i = static_cast<std::size_t>(w.id());
         if (plan.a.is_resident(z)) {
@@ -156,21 +154,17 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   // Line 13: write back C, narrowed to the storage precision.
   GemmResult<T> out{Matrix<T>(m, n), {}, plan.p, plan.smem_ratio, nullptr, nullptr};
   {
-    obs::ScopedRegion r(rp, "writeback");
+    PhaseScope r(ph, blk, "writeback");
     blk.phase([&](sim::Warp& w) {
       const auto i = static_cast<std::size_t>(w.id());
       w.store_global_narrowed(out.C, Ci[i], i * row_chunk, 0);
     });
     blk.sync();
   }
-  r_kernel.close();
 
   out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
   if (opt.record_trace) out.trace = blk.take_trace();
-  if (regions) {
-    regions->freeze();
-    out.regions = regions;
-  }
+  out.regions = finish_phases(ph, blk);
   return out;
 }
 

@@ -9,10 +9,12 @@
 // received pair and accumulates C(r, c).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/gemm.hpp"
 #include "core/numeric_path.hpp"
+#include "core/phase_scope.hpp"
 #include "core/planner.hpp"
 #include "core/sliced_operand.hpp"
 #include "model/cost_model.hpp"
@@ -43,10 +45,10 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   blk.set_deadline(opt.deadline_cycles);
   if (opt.record_trace) blk.enable_trace();
 
-  std::shared_ptr<obs::RegionProfiler> regions;
-  if (opt.record_regions)
-    regions = std::make_shared<obs::RegionProfiler>([&blk] { return blk.cycles(); });
-  obs::RegionProfiler* rp = regions.get();
+  // Optional phase trace on the block's simulated clock (core/phase_scope.hpp).
+  std::optional<obs::TraceBuilder> phases;
+  if (opt.record_regions) phases.emplace("kami_2d", "kami_2d", blk.cycles());
+  obs::TraceBuilder* const ph = phases ? &*phases : nullptr;
 
   const auto row_of = [&](std::size_t id) { return id / q; };
   const auto col_of = [&](std::size_t id) { return id % q; };
@@ -60,9 +62,8 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   ARecv.reserve(p);
   BRecv.reserve(p);
 
-  obs::ScopedRegion r_kernel(rp, "kami_2d");
   {
-    obs::ScopedRegion r_setup(rp, "setup");
+    PhaseScope r_setup(ph, blk, "setup");
     blk.phase([&](sim::Warp& w) {
       w.set_gmem_charging(opt.charge_global_io);
       const auto i = static_cast<std::size_t>(w.id());
@@ -90,7 +91,7 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
 
       // Write phase (lines 5-10): column-z warps publish A, row-z warps
       // publish B; owners also stage their own copies (Reg2Reg).
-      obs::ScopedRegion r_w(rp, "broadcast_write");
+      PhaseScope r_w(ph, blk, "broadcast_write");
       blk.phase([&](sim::Warp& w) {
         const auto i = static_cast<std::size_t>(w.id());
         const std::size_t r = row_of(i), c = col_of(i);
@@ -107,7 +108,7 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       r_w.close();
 
       // Read phase (lines 12-15).
-      obs::ScopedRegion r_r(rp, "broadcast_read");
+      PhaseScope r_r(ph, blk, "broadcast_read");
       blk.phase([&](sim::Warp& w) {
         const auto i = static_cast<std::size_t>(w.id());
         const std::size_t r = row_of(i), c = col_of(i);
@@ -132,7 +133,7 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       r_r.close();
 
       // Compute phase (line 17).
-      obs::ScopedRegion r_c(rp, "compute");
+      PhaseScope r_c(ph, blk, "compute");
       blk.phase([&](sim::Warp& w) {
         const auto i = static_cast<std::size_t>(w.id());
         w.mma(Ci[i], ARecv[i].view(), BRecv[i].view());
@@ -143,21 +144,17 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
 
   GemmResult<T> out{Matrix<T>(m, n), {}, plan.p, plan.smem_ratio, nullptr, nullptr};
   {
-    obs::ScopedRegion r(rp, "writeback");
+    PhaseScope r(ph, blk, "writeback");
     blk.phase([&](sim::Warp& w) {
       const auto i = static_cast<std::size_t>(w.id());
       w.store_global_narrowed(out.C, Ci[i], row_of(i) * mb, col_of(i) * nb);
     });
     blk.sync();
   }
-  r_kernel.close();
 
   out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
   if (opt.record_trace) out.trace = blk.take_trace();
-  if (regions) {
-    regions->freeze();
-    out.regions = regions;
-  }
+  out.regions = finish_phases(ph, blk);
   return out;
 }
 

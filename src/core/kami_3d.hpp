@@ -31,6 +31,7 @@
 
 #include "core/gemm.hpp"
 #include "core/numeric_path.hpp"
+#include "core/phase_scope.hpp"
 #include "core/planner.hpp"
 #include "core/sliced_operand.hpp"
 #include "model/cost_model.hpp"
@@ -64,10 +65,10 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   blk.set_deadline(opt.deadline_cycles);
   if (opt.record_trace) blk.enable_trace();
 
-  std::shared_ptr<obs::RegionProfiler> regions;
-  if (opt.record_regions)
-    regions = std::make_shared<obs::RegionProfiler>([&blk] { return blk.cycles(); });
-  obs::RegionProfiler* rp = regions.get();
+  // Optional phase trace on the block's simulated clock (core/phase_scope.hpp).
+  std::optional<obs::TraceBuilder> phases;
+  if (opt.record_regions) phases.emplace("kami_3d", "kami_3d", blk.cycles());
+  obs::TraceBuilder* const ph = phases ? &*phases : nullptr;
 
   const auto layer_of = [&](std::size_t id) { return id / (c * c); };
   const auto row_of = [&](std::size_t id) { return (id % (c * c)) / c; };
@@ -82,9 +83,8 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   std::vector<sim::Fragment<T>> ARecv;
   ARecv.reserve(p);
 
-  obs::ScopedRegion r_kernel(rp, "kami_3d");
   {
-    obs::ScopedRegion r_setup(rp, "setup");
+    PhaseScope r_setup(ph, blk, "setup");
     blk.phase([&](sim::Warp& w) {
       w.set_gmem_charging(opt.charge_global_io);
       const auto id = static_cast<std::size_t>(w.id());
@@ -127,7 +127,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
 
       // Write phase: owners publish slice s (A full-width; B only the
       // current column chunk).
-      obs::ScopedRegion r_w(rp, "broadcast_write");
+      PhaseScope r_w(ph, blk, "broadcast_write");
       blk.phase([&](sim::Warp& w) {
         const auto id = static_cast<std::size_t>(w.id());
         const std::size_t i = row_of(id), j = col_of(id), l = layer_of(id);
@@ -159,7 +159,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       r_w.close();
 
       // Read phase: same row+layer for A, same column+layer for B.
-      obs::ScopedRegion r_r(rp, "broadcast_read");
+      PhaseScope r_r(ph, blk, "broadcast_read");
       blk.phase([&](sim::Warp& w) {
         const auto id = static_cast<std::size_t>(w.id());
         const std::size_t i = row_of(id), j = col_of(id), l = layer_of(id);
@@ -190,7 +190,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       r_r.close();
 
       // Compute phase: one partial-product MMA per warp per slice.
-      obs::ScopedRegion r_c(rp, "compute");
+      PhaseScope r_c(ph, blk, "compute");
       blk.phase([&](sim::Warp& w) {
         const auto id = static_cast<std::size_t>(w.id());
         w.mma(Ci[id], ARecv[id].view(), BRecv[id].view());
@@ -206,7 +206,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     // Allocation order (Pscratch then Ptail, same phase) reproduces the
     // seed's peak register set exactly, so overflow behavior and the
     // profiled register high-water are unchanged.
-    obs::ScopedRegion r_red(rp, "reduce");
+    PhaseScope r_red(ph, blk, "reduce");
     const std::size_t tail_cols = nc % red_cols;
     std::vector<std::optional<sim::Fragment<Acc>>> Pscratch(p), Ptail(p);
     blk.phase([&](sim::Warp& w) {
@@ -243,7 +243,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     r_red.close();
 
     // Store this chunk (layer 0 holds the reduced result).
-    obs::ScopedRegion r_wb(rp, "writeback");
+    PhaseScope r_wb(ph, blk, "writeback");
     blk.phase([&](sim::Warp& w) {
       const auto id = static_cast<std::size_t>(w.id());
       if (layer_of(id) != 0) return;
@@ -251,14 +251,10 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     });
     blk.sync();
   }
-  r_kernel.close();
 
   out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
   if (opt.record_trace) out.trace = blk.take_trace();
-  if (regions) {
-    regions->freeze();
-    out.regions = regions;
-  }
+  out.regions = finish_phases(ph, blk);
   return out;
 }
 

@@ -85,7 +85,6 @@ Json RunReport::to_json() const {
   }
 
   if (!metrics_.is_null()) doc.set("metrics", metrics_);
-  if (!regions_.is_null()) doc.set("regions", regions_);
   if (!slo_.is_null()) doc.set("slo", slo_);
 
   if (utilization_) {
@@ -157,7 +156,6 @@ RunReport RunReport::from_json(const Json& doc) {
   }
 
   if (const Json* metrics = doc.find("metrics")) report.metrics_ = *metrics;
-  if (const Json* regions = doc.find("regions")) report.regions_ = *regions;
   if (const Json* slo = doc.find("slo")) report.slo_ = *slo;
 
   if (const Json* ju = doc.find("utilization")) {

@@ -1,9 +1,9 @@
 // RunReport: the machine-readable artifact of one benchmark or profiling
 // run — the tables a binary printed, structured cycle breakdowns, a metric
-// snapshot, the region tree, and an optional utilization timeline — with a
-// stable, versioned JSON schema ("kami.obs.run", version 2) so exported
-// runs can be reloaded, reprinted, and diffed by `tools/kami_prof` long
-// after the code that produced them has changed.
+// snapshot, and an optional utilization timeline — with a stable, versioned
+// JSON schema ("kami.obs.run", version 2) so exported runs can be reloaded,
+// reprinted, and diffed by `tools/kami_prof` long after the code that
+// produced them has changed.
 //
 // Schema v2 (all sections except schema/schema_version/name are optional):
 //   {
@@ -15,7 +15,6 @@
 //     "breakdowns": [{"name": str,
 //                     "categories": [{"name": str, "cycles": num}]}],
 //     "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
-//     "regions": [{name, count, total_cycles, self_cycles, children}],
 //     "utilization": {"bucket_cycles": num, "wall_cycles": num,
 //                     "resources": [{"name": str, "busy": [num]}]},
 //     "slo": {"classes": [{"class": str, "requests": num, ...,
@@ -24,6 +23,8 @@
 //   }
 // v2 adds the optional "slo" section (per-shape-class SLO attainment from
 // the serving layer); v1 documents, which simply lack it, still load.
+// Readers skip keys they do not know, so documents that still carry the
+// retired "regions" section load too.
 // Table cells are stored as the exact strings the text table printed, so a
 // reload reproduces the human output byte for byte.
 #pragma once
@@ -36,7 +37,6 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/region.hpp"
 
 namespace kami {
 class TablePrinter;  // util/table.hpp
@@ -112,9 +112,6 @@ class RunReport {
   void set_metrics(const MetricRegistry& registry) { metrics_ = registry.to_json(); }
   const Json& metrics() const noexcept { return metrics_; }
 
-  void set_regions(const RegionProfiler& profiler) { regions_ = profiler.to_json(); }
-  const Json& regions() const noexcept { return regions_; }
-
   void set_utilization(UtilizationTimeline u) { utilization_ = std::move(u); }
   const std::optional<UtilizationTimeline>& utilization() const noexcept {
     return utilization_;
@@ -137,7 +134,6 @@ class RunReport {
   std::vector<ReportTable> tables_;
   std::vector<Breakdown> breakdowns_;
   Json metrics_;  // null when never set
-  Json regions_;  // null when never set
   Json slo_;      // null when never set (v2 section)
   std::optional<UtilizationTimeline> utilization_;
 };

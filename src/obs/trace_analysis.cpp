@@ -154,17 +154,44 @@ BankConflictHeatmap bank_conflict_heatmap(const sim::DeviceSpec& dev,
   return out;
 }
 
+namespace {
+
+/// A span's slash-joined name path from the root, and its depth (root = 1).
+struct SpanPath {
+  std::string path;
+  int depth = 0;
+};
+
+/// SpanPath of every span, in span order. Parents precede children, so one
+/// pass suffices.
+std::vector<SpanPath> span_paths(const RequestTrace& phases) {
+  std::vector<SpanPath> out;
+  out.reserve(phases.spans.size());
+  for (const auto& s : phases.spans) {
+    if (s.parent < 0) {
+      out.push_back({s.name, 1});
+    } else {
+      const SpanPath& p = out[static_cast<std::size_t>(s.parent)];
+      out.push_back({p.path + "/" + s.name, p.depth + 1});
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<RegionOpBreakdown> region_op_breakdown(const sim::Trace& trace,
-                                                   const RegionProfiler& regions) {
-  // Innermost-first: deeper intervals win; among equal depths, later ones
-  // (loop iterations are disjoint in time, so at most one matches).
-  const auto& intervals = regions.intervals();
+                                                   const RequestTrace& phases) {
+  // Innermost-first: deeper spans win; same-depth spans are disjoint in
+  // time, so at most one of them matches.
+  const std::vector<SpanPath> paths = span_paths(phases);
   std::map<std::string, std::map<std::string, double>> acc;  // path -> kind -> cycles
   for (const auto& ev : trace.events()) {
-    const RegionProfiler::Interval* best = nullptr;
-    for (const auto& iv : intervals) {
-      if (ev.issue < iv.start || ev.issue >= iv.end) continue;
-      if (best == nullptr || iv.depth > best->depth) best = &iv;
+    const SpanPath* best = nullptr;
+    for (std::size_t i = 0; i < phases.spans.size(); ++i) {
+      const Span& s = phases.spans[i];
+      if (ev.issue < s.begin_cycles || ev.issue >= s.end_cycles) continue;
+      if (best == nullptr || paths[i].depth > best->depth) best = &paths[i];
     }
     const std::string path = best != nullptr ? best->path : std::string("(outside)");
     acc[path][sim::op_kind_name(ev.kind)] += ev.end - ev.issue;
@@ -180,7 +207,7 @@ std::vector<RegionOpBreakdown> region_op_breakdown(const sim::Trace& trace,
 }
 
 void dump_chrome_trace_with_regions(std::ostream& os, const sim::Trace& trace,
-                                    const RegionProfiler* regions,
+                                    const RequestTrace* phases,
                                     std::string_view process_name) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
@@ -206,24 +233,23 @@ void dump_chrome_trace_with_regions(std::ostream& os, const sim::Trace& trace,
          ",\"args\":{\"amount\":" + json_number(ev.amount) +
          ",\"issue\":" + json_number(ev.issue) + "}}");
 
-  if (regions != nullptr && !regions->intervals().empty()) {
+  if (phases != nullptr) {
     // One track per nesting depth so overlapping parent/child phases render
     // as a flame-graph-style stack under the warps.
+    const std::vector<SpanPath> paths = span_paths(*phases);
     std::set<int> depths;
-    for (const auto& iv : regions->intervals()) depths.insert(iv.depth);
+    for (const auto& p : paths) depths.insert(p.depth);
     for (const int d : depths)
       emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
            std::to_string(1000 + d) + ",\"args\":{\"name\":\"phases (depth " +
            std::to_string(d) + ")\"}}");
-    for (const auto& iv : regions->intervals()) {
-      const std::size_t slash = iv.path.rfind('/');
-      const std::string leaf =
-          slash == std::string::npos ? iv.path : iv.path.substr(slash + 1);
-      emit("{\"name\":\"" + json_escape(leaf) +
-           "\",\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(1000 + iv.depth) +
-           ",\"ts\":" + json_number(iv.start) + ",\"dur\":" +
-           json_number(iv.end - iv.start) + ",\"args\":{\"path\":\"" +
-           json_escape(iv.path) + "\"}}");
+    for (std::size_t i = 0; i < phases->spans.size(); ++i) {
+      const Span& s = phases->spans[i];
+      emit("{\"name\":\"" + json_escape(s.name) +
+           "\",\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(1000 + paths[i].depth) +
+           ",\"ts\":" + json_number(s.begin_cycles) +
+           ",\"dur\":" + json_number(s.duration_cycles()) +
+           ",\"args\":{\"path\":\"" + json_escape(paths[i].path) + "\"}}");
     }
   }
   os << "]}";

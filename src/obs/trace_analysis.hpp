@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "obs/region.hpp"
 #include "obs/report.hpp"
+#include "obs/trace_span.hpp"
 #include "sim/device.hpp"
 #include "sim/trace.hpp"
 
@@ -67,22 +67,23 @@ BankConflictHeatmap bank_conflict_heatmap(const sim::DeviceSpec& dev,
                                           std::size_t element_bytes,
                                           const std::vector<std::size_t>& strides);
 
-/// Warp-cycles per op-kind attributed to the innermost profiler region whose
-/// interval contains the event's issue time — the kernel -> phase -> op-kind
-/// level of the breakdown. Events outside every region land in "(outside)".
+/// Warp-cycles per op-kind attributed to the innermost phase span whose
+/// [begin, end) interval contains the event's issue time — the kernel ->
+/// phase -> op-kind level of the breakdown. Events outside every span land
+/// in "(outside)". `phases` is a kernel's GemmResult::regions.
 struct RegionOpBreakdown {
-  std::string path;  ///< slash-joined region path
+  std::string path;  ///< slash-joined span names from the root
   std::vector<std::pair<std::string, double>> op_cycles;  ///< kind -> cycles
 };
 
 std::vector<RegionOpBreakdown> region_op_breakdown(const sim::Trace& trace,
-                                                   const RegionProfiler& regions);
+                                                   const RequestTrace& phases);
 
-/// Chrome trace-event JSON enriched with phase/region rows: op events per
-/// warp (as Trace::dump_chrome_trace) plus process/thread metadata and one
-/// X event per closed region interval on a dedicated "phases" track.
+/// Chrome trace-event JSON: process/thread metadata, op events per warp, and,
+/// when `phases` is given, one X event per span on a "phases (depth N)" track
+/// (the root span is depth 1).
 void dump_chrome_trace_with_regions(std::ostream& os, const sim::Trace& trace,
-                                    const RegionProfiler* regions,
+                                    const RequestTrace* phases,
                                     std::string_view process_name = "kami");
 
 }  // namespace kami::obs

@@ -233,6 +233,11 @@ void TraceBuilder::advance(double cycles) {
   clock_ += cycles;
 }
 
+void TraceBuilder::advance_to(double cycles) {
+  KAMI_REQUIRE(cycles >= clock_, "the trace clock only moves forward");
+  clock_ = cycles;
+}
+
 void TraceBuilder::graft(RequestTrace child) {
   KAMI_REQUIRE(!finished_ && !stack_.empty(), "graft() on a finished trace");
   const std::uint32_t base = static_cast<std::uint32_t>(trace_.spans.size());

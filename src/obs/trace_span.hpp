@@ -125,6 +125,9 @@ class TraceBuilder {
 
   /// Advance the logical clock by a non-negative number of cycles.
   void advance(double cycles);
+  /// Move the logical clock forward to `cycles` exactly (no rounding through
+  /// a difference), for callers that mirror an external simulated clock.
+  void advance_to(double cycles);
   double clock() const noexcept { return clock_; }
 
   /// Append a finished trace's spans under the innermost open span,

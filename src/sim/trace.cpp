@@ -1,10 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <ostream>
-#include <set>
-
-#include "obs/json.hpp"
-
 namespace kami::sim {
 
 const char* op_kind_name(OpKind k) noexcept {
@@ -34,40 +29,6 @@ std::vector<TraceEvent> Trace::warp_events(int warp) const {
   for (const auto& ev : events_)
     if (ev.warp == warp) out.push_back(ev);
   return out;
-}
-
-void Trace::dump_chrome_trace(std::ostream& os) const {
-  // displayTimeUnit keeps Perfetto/chrome://tracing zoom sane under the
-  // 1 cycle = 1 us mapping; metadata events label the process and name each
-  // warp's track; all strings go through the shared JSON escaper.
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << ",";
-    first = false;
-  };
-
-  sep();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-        "\"args\":{\"name\":\"kami block\"}}";
-  std::set<int> warps;
-  for (const auto& ev : events_) warps.insert(ev.warp);
-  for (const int w : warps) {
-    sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << w
-       << ",\"args\":{\"name\":\"warp " << w << "\"}}";
-  }
-
-  for (const auto& ev : events_) {
-    sep();
-    os << "{\"name\":\"" << obs::json_escape(op_kind_name(ev.kind))
-       << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << ev.warp
-       << ",\"ts\":" << obs::json_number(ev.start)
-       << ",\"dur\":" << obs::json_number(ev.end - ev.start)
-       << ",\"args\":{\"amount\":" << obs::json_number(ev.amount)
-       << ",\"issue\":" << obs::json_number(ev.issue) << "}}";
-  }
-  os << "]}";
 }
 
 }  // namespace kami::sim

@@ -4,14 +4,13 @@
 // TraceEvent (warp, kind, start/end cycle, bytes or flops). Uses:
 //   * invariant checking — tests assert that no two occupancy intervals on
 //     a serial resource overlap and that every warp's events are ordered;
-//   * debugging and teaching — `dump_chrome_trace` emits the Chrome
-//     about://tracing JSON format so a kernel's phase structure can be
-//     inspected visually;
+//   * debugging and teaching — obs::dump_chrome_trace_with_regions
+//     (obs/trace_analysis.hpp) emits the Chrome about://tracing JSON format
+//     so a kernel's phase structure can be inspected visually;
 //   * profiling — per-kind aggregation independent of the CycleBreakdown.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -74,10 +73,6 @@ class Trace {
 
   /// Events of one warp, in issue order.
   std::vector<TraceEvent> warp_events(int warp) const;
-
-  /// Chrome trace-event JSON ("traceEvents" array, microsecond timestamps
-  /// with 1 cycle = 1 us so the viewer's zoom is usable).
-  void dump_chrome_trace(std::ostream& os) const;
 
  private:
   std::vector<TraceEvent> events_;

@@ -4,12 +4,16 @@
 //     depends only on shapes and bytes, never on operand values;
 //   * NumericsOnly must reproduce the Full result matrix bit-for-bit — the
 //     fast path replays the same per-element accumulation chains in the same
-//     order and precision.
+//     order and precision;
+//   * the kernel's phase spans (record_regions) are identical in both timed
+//     modes and tile the block's latency; NumericsOnly records none.
 // Checked across the 1D/2D/3D x device x precision grid, spill ratios,
 // charged global I/O, and the block-level baselines.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "baselines/cublasdx_like.hpp"
 #include "baselines/cutlass_like.hpp"
@@ -48,8 +52,28 @@ template <Scalar T>
   return ::testing::AssertionSuccess();
 }
 
+/// A kernel's phase trace: the root span runs over [0, latency], its children
+/// cover it end to end with no gap or overlap, and it survives JSON.
+void expect_phase_spans(const obs::RequestTrace& phases,
+                        const sim::KernelProfile& profile) {
+  const obs::Span* root = phases.root();
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->begin_cycles, 0.0);
+  EXPECT_EQ(root->end_cycles, profile.latency);
+  const auto children = phases.children_of(0);
+  ASSERT_FALSE(children.empty());
+  double at = root->begin_cycles;
+  for (const std::uint32_t id : children) {
+    EXPECT_EQ(phases.spans[id].begin_cycles, at) << phases.spans[id].name;
+    at = phases.spans[id].end_cycles;
+  }
+  EXPECT_EQ(at, root->end_cycles);
+  EXPECT_EQ(obs::RequestTrace::from_json(phases.to_json()).canonical_text(),
+            phases.canonical_text());
+}
+
 /// Run (algo, dev, m, n, k, opt) in all three modes on the same random
-/// operands and cross-check the mode contract.
+/// operands, recording phases, and cross-check the mode contract.
 template <Scalar T>
 void check_modes(Algo algo, const sim::DeviceSpec& dev, std::size_t m, std::size_t n,
                  std::size_t k, GemmOptions opt = {}) {
@@ -61,7 +85,10 @@ void check_modes(Algo algo, const sim::DeviceSpec& dev, std::size_t m, std::size
   const auto B = random_matrix<T>(k, n, rng);
 
   opt.mode = sim::ExecMode::Full;
+  opt.record_regions = true;
   const auto full = gemm(algo, dev, A, B, opt);
+  ASSERT_NE(full.regions, nullptr);
+  expect_phase_spans(*full.regions, full.profile);
 
   GemmOptions topt = opt;
   topt.mode = sim::ExecMode::TimingOnly;
@@ -71,6 +98,8 @@ void check_modes(Algo algo, const sim::DeviceSpec& dev, std::size_t m, std::size
   EXPECT_EQ(timing.smem_ratio, full.smem_ratio);
   // No arithmetic ran: the TimingOnly output stays zero-initialized.
   EXPECT_TRUE(bits_equal(timing.C, Matrix<T>(m, n)));
+  ASSERT_NE(timing.regions, nullptr);
+  EXPECT_EQ(timing.regions->canonical_text(), full.regions->canonical_text());
 
   GemmOptions nopt = opt;
   nopt.mode = sim::ExecMode::NumericsOnly;
@@ -79,6 +108,7 @@ void check_modes(Algo algo, const sim::DeviceSpec& dev, std::size_t m, std::size
   // No cycles charged: the NumericsOnly profile stays empty.
   EXPECT_EQ(numer.profile.latency, 0.0);
   EXPECT_EQ(numer.profile.tc_busy, 0.0);
+  EXPECT_EQ(numer.regions, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +279,8 @@ TEST(ExecModes, SyclbenchBaseline) {
 // ---------------------------------------------------------------------------
 
 // The batched fast path (TimingOnly per distinct shape + NumericsOnly per
-// entry) must be indistinguishable from the legacy per-entry Full loop.
+// entry) must be indistinguishable from the legacy per-entry Full loop, and
+// the recording options (which have nowhere to record into) change nothing.
 TEST(ExecModes, BatchedFastPathMatchesPerEntryFull) {
   Rng rng(23);
   std::vector<Matrix<fp16_t>> As, Bs;
@@ -269,6 +300,25 @@ TEST(ExecModes, BatchedFastPathMatchesPerEntryFull) {
   }
   EXPECT_GT(batched.seconds, 0.0);
   EXPECT_GT(batched.tflops, 0.0);
+
+  const auto Astack = random_matrix<fp16_t>(3 * 16, 32, rng);
+  const auto Bstack = random_matrix<fp16_t>(3 * 32, 16, rng);
+  const auto strided =
+      core::kami_gemm_strided_batched<fp16_t>(sim::gh200(), Astack, Bstack, 3);
+  for (const auto& [trace, regions] : {std::pair{true, false}, std::pair{false, true}}) {
+    GemmOptions rec;
+    rec.record_trace = trace;
+    rec.record_regions = regions;
+    const auto r = core::kami_batched_gemm<fp16_t>(sim::gh200(), As, Bs, Algo::OneD, rec);
+    ASSERT_EQ(r.C.size(), As.size());
+    for (std::size_t i = 0; i < As.size(); ++i)
+      EXPECT_TRUE(bits_equal(r.C[i], batched.C[i])) << "entry " << i;
+    EXPECT_EQ(r.seconds, batched.seconds);
+    EXPECT_EQ(r.tflops, batched.tflops);
+    EXPECT_TRUE(bits_equal(core::kami_gemm_strided_batched<fp16_t>(
+                               sim::gh200(), Astack, Bstack, 3, Algo::OneD, rec),
+                           strided));
+  }
 }
 
 // best_gemm runs numerics once and grafts the tuned profile back on: the

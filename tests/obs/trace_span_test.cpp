@@ -55,6 +55,9 @@ TEST(TraceSpan, BuilderNestsSpansAndAdvancesTheClock) {
   b.close();  // inner
   b.advance(8.5);
   b.close();  // outer
+  EXPECT_THROW(b.close(), kami::PreconditionError);  // only finish() closes the root
+  EXPECT_THROW(b.advance_to(149.0), kami::PreconditionError);  // never moves back
+  b.advance_to(150.0);
   b.set_meta("shape", "64x64x64");
   const RequestTrace t = b.finish();
 

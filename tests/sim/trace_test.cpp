@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "../testing/test_device.hpp"
+#include "obs/trace_analysis.hpp"
 #include "sim/block.hpp"
 
 namespace kami::sim {
@@ -121,7 +122,7 @@ TEST(Trace, ChromeJsonIsWellFormedIsh) {
     w.store_smem(tile, f.view());
   });
   std::ostringstream os;
-  trace.dump_chrome_trace(os);
+  obs::dump_chrome_trace_with_regions(os, trace, nullptr);
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');

@@ -1,7 +1,7 @@
 // kami_prof: load an exported kami.obs.run JSON file and report on it.
 //
 //   kami_prof report <run.json>            print tables (verbatim), breakdowns,
-//                                          metrics, regions, and utilization
+//                                          metrics, and utilization
 //   kami_prof diff <a.json> <b.json> [--tolerance <pct>]
 //                                          numeric deltas between two runs;
 //                                          with --tolerance, exit nonzero when
@@ -54,19 +54,6 @@ bool cell_number(const std::string& cell, double* out) {
   return true;
 }
 
-void print_region_tree(const Json& node, int depth) {
-  const std::string name = node.at("name").as_string();
-  if (!name.empty() || depth > 0) {
-    std::cout << std::string(static_cast<std::size_t>(depth) * 2, ' ') << name << ": total "
-              << kami::obs::json_number(node.at("total_cycles").as_number()) << " cyc, self "
-              << kami::obs::json_number(node.at("self_cycles").as_number()) << " cyc, x"
-              << kami::obs::json_number(node.at("count").as_number()) << "\n";
-  }
-  if (const Json* children = node.find("children")) {
-    for (const auto& ch : children->as_array()) print_region_tree(ch, depth + 1);
-  }
-}
-
 void cmd_report(const RunReport& run) {
   std::cout << "run: " << run.name() << "\n";
   for (const auto& [k, v] : run.meta()) std::cout << "  " << k << ": " << v << "\n";
@@ -112,12 +99,6 @@ void cmd_report(const RunReport& run) {
                   << " p99=" << kami::obs::json_number(h.at("p99").as_number()) << "\n";
       }
     }
-    std::cout << "\n";
-  }
-
-  if (run.regions().is_object()) {
-    std::cout << "== Regions (total/self cycles) ==\n";
-    print_region_tree(run.regions(), -1);
     std::cout << "\n";
   }
 
