@@ -104,7 +104,7 @@ void body() {
   };
   const auto autotune_serial = run_autotune(1);
 
-  // Chaos campaign: 120 replication-parallel points, fresh server each.
+  // Chaos campaign: 120 replication-parallel points, fresh fleet each.
   const auto run_campaign = [&](int workers) {
     return serve::run_campaign(5, 120, workers);
   };
@@ -137,8 +137,12 @@ void body() {
          return r.ran == campaign_serial.ran &&
                 r.served_ok == campaign_serial.served_ok &&
                 r.typed_errors == campaign_serial.typed_errors &&
+                r.failovers == campaign_serial.failovers &&
+                r.storm_rejected == campaign_serial.storm_rejected &&
                 r.by_rung == campaign_serial.by_rung &&
                 r.by_code == campaign_serial.by_code &&
+                r.by_device == campaign_serial.by_device &&
+                r.by_fleet == campaign_serial.by_fleet &&
                 r.violations.size() == campaign_serial.violations.size();
        }}};
 

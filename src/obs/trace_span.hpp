@@ -2,8 +2,7 @@
 // serving layer builds on.
 //
 // A RequestTrace is a tree of named, attributed spans on a *simulated-cycle*
-// timeline: admit -> queue_wait -> per-rung plan/attempt spans ->
-// complete. Nothing in a trace comes from a wall clock — span begin/end
+// timeline: admit -> per-rung plan/attempt spans -> complete. Nothing in a trace comes from a wall clock — span begin/end
 // are driven by a logical cycle clock the instrumented code advances with
 // deterministic quantities (a kernel attempt advances by its simulated
 // latency, a retry backoff by its configured penalty) — so the same request

@@ -1,37 +1,58 @@
 // Chaos campaign: randomized resilience fuzzing of the serving layer.
 //
-// Each chaos point is a verify::CheckPoint (device, precision, algorithm,
-// shape, tuning, data seed) plus adversarial conditions: an injected fault
-// (transient or permanent cycle-accounting skew, a one-shot register
-// allocation failure), a randomized cycle deadline, and a randomized
-// execution mode. run_chaos_point() serves the point through a GemmServer
-// and checks the campaign's contract:
+// Every chaos point is a fleet scenario. The fleet is either one device —
+// the point's own verify device, i.e. the single-server case — or the four
+// Table-3 devices, where routing decides. On top of a verify::CheckPoint
+// (device, precision, algorithm, shape, tuning, data seed) a point layers:
 //
-//   * no exception ever escapes serve() — typed ServeResult or nothing;
-//   * a successful result is bit-correct (KAMI-1D/2D and the reference rung
-//     match the reference rounding model bit-for-bit; KAMI-3D stays inside
-//     the precision tolerance vs the FP64 reference) — faults may slow or
-//     degrade a request but can never corrupt it;
-//   * a failed result carries a non-Ok code with a non-empty message, is
-//     never InternalInvariant (chaos injects faults only through armed
-//     sources, which classify as transient), and is DeadlineExceeded only
-//     when the point actually set a deadline;
-//   * deadline aborts are deterministic: two fresh-server replays of the
-//     same point abort at the same point with byte-identical messages.
+//   * request adversity — an injected fault (transient or permanent
+//     cycle-accounting skew, a one-shot register allocation failure), a
+//     randomized cycle deadline, and a randomized execution mode;
+//   * seeded blackouts — a random subset of the fleet (possibly all of it)
+//     is dark before the request arrives, so dispatch refusals, mark-down,
+//     and failover all fire;
+//   * router misprediction — per-device multiplicative skew on the routing
+//     score, so the request is deliberately sent to the "wrong" device
+//     first and correctness must survive bad placement;
+//   * queue-overflow storms — a burst of async submissions against
+//     deliberately tiny shard queues in manual-drain mode, so overflow
+//     reroute and typed admission refusals exercise deterministically.
 //
-// Points are generated from a seed (chaos_point), so every violation is
-// replayable: `kami_chaos --seed <s> --points 1`.
+// run_chaos_point() serves the point through a fresh FleetServer and checks
+// the contract:
+//
+//   * bit-correct-or-typed — for the main request and every storm request:
+//     no exception escapes; a success matches the reference rounding model
+//     bit-for-bit (KAMI-3D: stays inside the precision tolerance vs the FP64
+//     reference) — faults may slow or degrade a request but never corrupt
+//     it; a failure carries a non-empty message, is never InternalInvariant
+//     (faults are injected only through armed sources, which classify as
+//     transient), is DeadlineExceeded only when the point set a deadline,
+//     and is DeviceUnavailable only when a device was dark;
+//   * no request lost — every storm future is ready after drain();
+//   * failover bit-identity — a fault-free success is bit-identical to
+//     serving the same operands directly on the device the fleet reports it
+//     used: failover may change *where*, never *what*;
+//   * recovery — once blackouts clear, the probe state machine returns
+//     every marked-down device to Healthy within cooldown + 2 requests;
+//   * deterministic replay — the whole scenario rerun from scratch (fresh
+//     fleet, fresh hermetic planner state) reproduces the same code,
+//     byte-identical message, serving device, failover count, rung,
+//     end-to-end cycles, and storm outcome.
+//
+// Points are generated from a seed, so every violation is replayable:
+// `kami_chaos --seed <s> --points 1`.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "serve/serve.hpp"
+#include "serve/fleet.hpp"
+#include "serve/slo.hpp"
 #include "verify/differential.hpp"
 
 namespace kami::serve {
@@ -47,11 +68,20 @@ enum class ChaosFault {
 const char* chaos_fault_name(ChaosFault f) noexcept;
 
 struct ChaosPoint {
-  verify::CheckPoint base;
+  verify::CheckPoint base;  ///< the requested shape/precision/algo/tuning
   ChaosFault fault = ChaosFault::None;
   long long alloc_countdown = -1;  ///< AllocFailure: which allocation fails
   double deadline_cycles = 0.0;    ///< 0 = no deadline
   sim::ExecMode mode = sim::ExecMode::Full;
+
+  /// The fleet's devices by name: {base.device} or the four Table-3 devices.
+  std::vector<std::string> devices;
+  std::uint32_t blackout_mask = 0;  ///< bit i: devices[i] dark at arrival
+  std::vector<double> route_skew;   ///< empty = honest router
+  bool hedge = false;               ///< hedge deadline-carrying requests
+  int storm_requests = 0;           ///< async burst size (0 = no storm)
+  std::size_t queue_depth = 4;      ///< shard queue capacity for this point
+  int probe_cooldown = 2;           ///< fleet requests before a Down shard probes
 };
 
 /// Deterministic seed -> point generation (replays exactly).
@@ -64,18 +94,24 @@ struct ChaosOutcome {
   bool violation = false;  ///< contract broken (crash, corruption, bad typing)
   std::string detail;      ///< violation description when violation
   ErrorCode code = ErrorCode::Ok;
-  std::string message;     ///< the ServeResult's error message (typed failures)
+  std::string message;     ///< the main request's error message (typed failures)
   std::string rung_label;  ///< rung that served, or "error"
-  /// Request traces the point's server recorded (campaign mode harvests
-  /// per-point recorders here, then folds them in seed order).
-  std::vector<obs::RequestTrace> traces;
-  /// Per-point SLO accounting in campaign mode (shared_ptr: SloTracker is
-  /// immovable, outcomes must be move-assignable for parallel_map).
-  std::shared_ptr<SloTracker> slo;
+  std::string device;      ///< device that answered ("" on fleet refusal)
+  int failovers = 0;
+  bool hedged = false;
+  int storm_ok = 0;        ///< storm futures that served
+  int storm_rejected = 0;  ///< storm futures typed-refused at admission
 };
 
-/// Serve one point under its chaos conditions and check the contract.
-ChaosOutcome run_chaos_point(GemmServer& server, const ChaosPoint& p);
+/// Run one chaos point: build the point's fleet (manual drain, hermetic
+/// planner state), apply blackouts/skew, run the storm, serve the main
+/// request under its fault, check failover identity and recovery, then
+/// replay the scenario from scratch and compare. `flight`/`slo` attach
+/// observability to the first run; request ids are "<prefix>-<n>".
+ChaosOutcome run_chaos_point(const ChaosPoint& p,
+                             const std::shared_ptr<obs::FlightRecorder>& flight = nullptr,
+                             const std::shared_ptr<SloTracker>& slo = nullptr,
+                             const std::string& request_id_prefix = "chaos");
 
 struct ChaosViolation {
   std::uint64_t seed = 0;
@@ -87,106 +123,29 @@ struct ChaosReport {
   std::size_t ran = 0;
   std::size_t served_ok = 0;
   std::size_t typed_errors = 0;
-  std::size_t deadline_replays = 0;  ///< determinism re-checks performed
-  std::map<std::string, std::size_t> by_code;   ///< error_code_name -> count
-  std::map<std::string, std::size_t> by_rung;   ///< rung label -> count
-  std::map<std::string, std::size_t> by_fault;  ///< injected fault -> count
+  std::size_t failovers = 0;       ///< total failed dispatches before success
+  std::size_t hedged = 0;          ///< points served by a hedged pair
+  std::size_t storm_requests = 0;  ///< total storm submissions checked
+  std::size_t storm_rejected = 0;  ///< typed admission refusals among them
+  std::map<std::string, std::size_t> by_code;    ///< error_code_name -> count
+  std::map<std::string, std::size_t> by_rung;    ///< rung label -> count
+  std::map<std::string, std::size_t> by_fault;   ///< injected fault -> count
+  std::map<std::string, std::size_t> by_device;  ///< device that answered
+  std::map<std::string, std::size_t> by_fleet;   ///< "1 device" / "4 devices"
   std::vector<ChaosViolation> violations;
 
   bool clean() const noexcept { return violations.empty(); }
 };
 
-/// Run points seeded base_seed, base_seed+1, ... through one shared server
-/// (so points interact through its circuit breakers, exactly like a real
-/// serving process under sustained faults). Inherently sequential: point i
-/// observes breaker state left by point i-1. When `flight`/`slo` are set
-/// they are attached to the shared server, so every request (including
-/// every typed failure) is traced and accounted.
-ChaosReport run_chaos(std::uint64_t base_seed, std::size_t points,
-                      const std::shared_ptr<obs::FlightRecorder>& flight = nullptr,
-                      const std::shared_ptr<SloTracker>& slo = nullptr);
-
-/// Replication-parallel campaign: the same seeded points, each served by a
-/// fresh GemmServer (no cross-point breaker coupling), fanned out across
-/// the execution engine. `workers` 0 = defer to KAMI_THREADS, 1 = serial.
-/// The report is bit-identical for every worker count; it differs from
-/// run_chaos only where run_chaos's shared breakers short-circuited points.
-/// When `flight`/`slo` are set, each point serves through a fresh per-point
-/// recorder/tracker (request ids prefixed "seed<n>") whose contents are
-/// folded into `flight`/`slo` serially in seed order — the dump is
-/// byte-identical at every worker count.
+/// Replication-parallel campaign: points seeded base_seed, base_seed+1, ...
+/// each against a fresh fleet, fanned out across the execution engine
+/// (`workers` 0 = defer to KAMI_THREADS, 1 = serial). When `flight`/`slo`
+/// are set, each point serves through a fresh per-point recorder/tracker
+/// (request ids prefixed "seed<n>") whose contents are folded into
+/// `flight`/`slo` serially in seed order. The report, the dump and the SLO
+/// export are bit-identical at every worker count.
 ChaosReport run_campaign(std::uint64_t base_seed, std::size_t points, int workers = 1,
                          const std::shared_ptr<obs::FlightRecorder>& flight = nullptr,
                          const std::shared_ptr<SloTracker>& slo = nullptr);
-
-// ---------------------------------------------------------------------------
-// Shared contract machinery: the single-server campaign above and the fleet
-// campaign (serve/fleet_chaos.hpp) enforce the same bit-correct-or-typed
-// contract on every ServeResult, from the same fault-arming table.
-
-namespace chaos_detail {
-
-/// Shortest round-trip-exact decimal rendering (violation messages compare
-/// byte-for-byte across replays).
-std::string fmt(double v);
-
-/// KAMI-3D's tolerance vs the FP64 reference, per element, scaled by k at
-/// the call site (same table as verify::check_point).
-double reference_tolerance(Precision p);
-
-/// The fault-injection hooks one ChaosFault arms (AllocFailure consumes
-/// `alloc_countdown`; the other faults ignore it).
-verify::FaultHooks hooks_for(ChaosFault f, long long alloc_countdown);
-
-template <Scalar T>
-bool bits_equal(const Matrix<T>& a, const Matrix<T>& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
-}
-
-/// The bit-correct-or-typed contract on one finished ServeResult: a success
-/// must match the reference rounding model bit-for-bit (KAMI-3D: stay inside
-/// the precision tolerance vs the FP64 reference); a failure must carry a
-/// non-empty message, must not claim InternalInvariant (campaigns inject
-/// faults only through armed sources, which classify as transient), and may
-/// be DeadlineExceeded only when the request actually set a deadline.
-/// Returns "" when the contract holds, else the violation detail.
-template <Scalar T>
-std::string contract_violation(const ServeResult<T>& res, const Matrix<T>& A,
-                               const Matrix<T>& B, sim::ExecMode mode,
-                               double deadline_cycles) {
-  if (res.ok()) {
-    // TimingOnly KAMI rungs carry no numerics to check; the reference rung
-    // and degenerate shapes always compute.
-    const bool computed =
-        res.from_reference || res.degenerate || sim::mode_computes(mode);
-    if (!computed) return "";
-    if (res.from_reference || res.degenerate || res.served != core::Algo::ThreeD) {
-      const Matrix<T> ref = baselines::reference_gemm(A, B);
-      if (!bits_equal(res.C, ref))
-        return "silent corruption: " + res.rung_label +
-               " result does not match the reference rounding model bit-for-bit";
-    } else {
-      const Matrix<double> ref = baselines::reference_gemm_fp64(A, B);
-      const double bound = reference_tolerance(num_traits<T>::precision) *
-                           static_cast<double>(A.cols());
-      const double err = max_abs_diff(res.C, ref);
-      if (!(err <= bound))
-        return "silent corruption: kami_3d deviates from the FP64 reference "
-               "(max |delta| = " + fmt(err) + " > " + fmt(bound) + ")";
-    }
-    return "";
-  }
-  if (res.message.empty())
-    return std::string("typed error ") + error_code_name(res.code) +
-           " carries an empty message";
-  if (res.code == ErrorCode::InternalInvariant)
-    return "injected fault misclassified as a simulator bug: " + res.message;
-  if (res.code == ErrorCode::DeadlineExceeded && deadline_cycles <= 0.0)
-    return "deadline error without a deadline: " + res.message;
-  return "";
-}
-
-}  // namespace chaos_detail
 
 }  // namespace kami::serve

@@ -27,7 +27,6 @@ FleetConfig table3_fleet() {
 
 FleetServer::FleetServer(FleetConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.devices.empty()) cfg_.devices = table3_fleet().devices;
-  manual_drain_ = cfg_.async_workers_per_device == 0;
 
   shards_.reserve(cfg_.devices.size());
   for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
@@ -60,7 +59,7 @@ FleetServer::FleetServer(FleetConfig cfg) : cfg_(std::move(cfg)) {
         "fleet.route.unplanned", "fleet.route.heuristic"})
     metrics.counter(name);
   for (const char* name :
-       {"fleet.queue_wait_cycles", "fleet.end_to_end_cycles", "fleet.route_position"})
+       {"fleet.end_to_end_cycles", "fleet.route_position", "host.queue_wait_ns"})
     metrics.histogram(name);
   metrics.gauge("fleet.devices").set(static_cast<double>(shards_.size()));
   metrics.gauge("fleet.devices_healthy").set(static_cast<double>(shards_.size()));
@@ -229,7 +228,7 @@ std::vector<int> FleetServer::route_order(core::Algo algo, Precision prec,
 }
 
 void FleetServer::ensure_workers_started() {
-  if (manual_drain_) return;
+  if (cfg_.async_workers_per_device == 0) return;  // manual drain
   std::lock_guard lock(start_mu_);
   if (workers_started_) return;
   workers_started_ = true;

@@ -46,8 +46,16 @@
 // class SLO accounting where one fleet request — including its whole
 // failover chain — is exactly one record.
 //
-// Determinism contract (the fleet chaos campaign's ground): with manual
-// drain (async_workers_per_device == 0) and a private ProfileCache/Predictor,
+// FleetServer is the one place requests queue. A single device is a
+// one-device fleet: submit_async, bounded queues, worker threads and the
+// typed admission refusal work the same at any fleet size.
+//
+// Logical cycles never read a host clock: a queued request is served with a
+// logical queue wait of 0 in every mode, and the host time it spent queued
+// lands in the host.queue_wait_ns histogram only.
+//
+// Determinism contract (the chaos campaign's ground): with manual drain
+// (async_workers_per_device == 0) and a private ProfileCache/Predictor,
 // identical request sequences against identical fleet state produce
 // identical routing decisions, health transitions, results, and typed
 // errors.
@@ -80,10 +88,9 @@ struct FleetDeviceConfig {
   sim::DeviceSpec spec;
   /// Capacity of this shard's bounded async request queue.
   std::size_t queue_depth = 64;
-  /// Per-device ladder/retry/breaker policy. The async fields and
-  /// request_id_prefix are overridden by the fleet (shard queues replace
-  /// GemmServer's own async machinery; ids become "<prefix>-d<i>-<n>"); the
-  /// SLO tracker is detached so one fleet request is one SLO record.
+  /// Per-device ladder/retry/breaker policy. request_id_prefix is overridden
+  /// by the fleet (ids become "<prefix>-d<i>-<n>"), and the SLO tracker is
+  /// detached so one fleet request is one SLO record.
   ServeConfig serve;
 };
 
@@ -93,8 +100,8 @@ struct FleetConfig {
 
   /// Async worker threads per device shard (started lazily on the first
   /// submit_async). 0 = manual drain: no threads are ever created; queued
-  /// requests run inline on drain(), in deterministic device order, and
-  /// observe a queue wait of 0 cycles — the chaos campaign's mode.
+  /// requests run inline on drain(), in deterministic device order — the
+  /// chaos campaign's mode.
   int async_workers_per_device = 1;
 
   // -- routing policy.
@@ -145,7 +152,7 @@ struct FleetResult {
   std::string device;     ///< its DeviceSpec name ("" on refusal)
   int failovers = 0;      ///< failed dispatches before the one that answered
   bool hedged = false;    ///< served by a hedged dispatch pair
-  /// Fleet end-to-end logical cycles: queue wait + every dispatch attempt's
+  /// Fleet end-to-end logical cycles: every dispatch attempt's
   /// end_to_end_cycles along the chain (hedges cost their slower arm).
   double end_to_end_cycles = 0.0;
 
@@ -180,7 +187,8 @@ class FleetServer {
   /// queue accepts, the returned future is already ready with a typed
   /// ResourceExhausted. The worker replays the submitting thread's
   /// FaultHooks and runs the full failover chain starting at the queue's
-  /// device.
+  /// device; the host time the request spent queued is observed in
+  /// host.queue_wait_ns and never enters its logical cycles.
   template <Scalar T>
   std::future<FleetResult<T>> submit_async(core::Algo algo, Matrix<T> A, Matrix<T> B,
                                            core::GemmOptions opt = {});
@@ -268,12 +276,11 @@ class FleetServer {
   /// workers. `primary` >= 0 pins that shard to the front of the dispatch
   /// order (the queue the async request was accepted on).
   template <Scalar T>
-  FleetResult<T> serve_fleet_request(const std::string& id, double queue_wait_cycles,
-                                     int primary, core::Algo algo, const Matrix<T>& A,
-                                     const Matrix<T>& B, core::GemmOptions opt);
+  FleetResult<T> serve_fleet_request(const std::string& id, int primary, core::Algo algo,
+                                     const Matrix<T>& A, const Matrix<T>& B,
+                                     core::GemmOptions opt);
 
   FleetConfig cfg_;
-  bool manual_drain_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> request_counter_{0};
 
@@ -303,12 +310,11 @@ bool FleetServer::dispatch_one(int idx, core::Algo algo, const Matrix<T>& A,
 template <Scalar T>
 FleetResult<T> FleetServer::serve(core::Algo algo, const Matrix<T>& A,
                                   const Matrix<T>& B, core::GemmOptions opt) {
-  return serve_fleet_request<T>(next_request_id(), 0.0, -1, algo, A, B, opt);
+  return serve_fleet_request<T>(next_request_id(), -1, algo, A, B, opt);
 }
 
 template <Scalar T>
-FleetResult<T> FleetServer::serve_fleet_request(const std::string& id,
-                                                double queue_wait_cycles, int primary,
+FleetResult<T> FleetServer::serve_fleet_request(const std::string& id, int primary,
                                                 core::Algo algo, const Matrix<T>& A,
                                                 const Matrix<T>& B,
                                                 core::GemmOptions opt) {
@@ -321,8 +327,6 @@ FleetResult<T> FleetServer::serve_fleet_request(const std::string& id,
 
   FleetResult<T> out;
   out.result.requested = algo;
-  out.end_to_end_cycles = queue_wait_cycles;
-  metrics.histogram("fleet.queue_wait_cycles").observe(queue_wait_cycles);
 
   std::vector<int> order = route_order(algo, prec, m, n, k, opt);
   if (primary >= 0) {
@@ -473,26 +477,21 @@ std::future<FleetResult<T>> FleetServer::submit_async(core::Algo algo, Matrix<T>
   auto b = std::make_shared<Matrix<T>>(std::move(B));
   const auto submitted = std::chrono::steady_clock::now();
   const verify::FaultHooks hooks = verify::fault_hooks();
-  const bool manual = manual_drain_;
 
   std::size_t full_queues = 0;
   for (const int idx : order) {
     Shard& s = *shards_[static_cast<std::size_t>(idx)];
-    auto task = [this, promise, idx, algo, a, b, opt, hooks, id, submitted, manual,
-                 clock_ghz = s.cfg.spec.boost_clock_ghz] {
-      // Queue wait in simulated cycles at the queue's device clock
-      // (1 GHz = 1 cycle/ns); manual drain observes a deterministic 0.
-      double wait_cycles = 0.0;
-      if (!manual) {
-        const double wait_ns = std::chrono::duration<double, std::nano>(
-                                   std::chrono::steady_clock::now() - submitted)
-                                   .count();
-        wait_cycles = wait_ns * clock_ghz;
-      }
+    auto task = [this, promise, idx, algo, a, b, opt, hooks, id, submitted] {
+      // Queue wait is host time: it goes to the host namespace, never into
+      // the request's logical cycles.
+      obs::MetricRegistry::current()
+          .histogram("host.queue_wait_ns")
+          .observe(std::chrono::duration<double, std::nano>(
+                       std::chrono::steady_clock::now() - submitted)
+                       .count());
       verify::ScopedFault fault(hooks);
       try {
-        promise->set_value(
-            serve_fleet_request<T>(id, wait_cycles, idx, algo, *a, *b, opt));
+        promise->set_value(serve_fleet_request<T>(id, idx, algo, *a, *b, opt));
       } catch (...) {
         promise->set_exception(std::current_exception());
       }

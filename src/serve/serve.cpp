@@ -4,8 +4,6 @@
 #include <cmath>
 #include <thread>
 
-#include "exec/engine.hpp"
-
 #include "sim/deadline.hpp"
 #include "sim/register_file.hpp"
 
@@ -63,19 +61,16 @@ GemmServer::GemmServer(ServeConfig cfg) : cfg_(std::move(cfg)) {
   // Pre-register the serving metrics at zero. A server that is constructed
   // and torn down without a single request must still export the whole
   // serve.* namespace (dashboards distinguish "served nothing" from "metric
-  // missing"), and the lazily-started async machinery must stay untouched.
+  // missing").
   auto& metrics = obs::MetricRegistry::current();
   for (const char* name :
        {"serve.requests", "serve.ok", "serve.errors", "serve.retries",
-        "serve.degraded", "serve.backoff_ms", "serve.async.submitted",
-        "serve.async.accepted", "serve.async.rejected", "serve.breaker.trips",
+        "serve.degraded", "serve.backoff_ms", "serve.breaker.trips",
         "serve.breaker.closes", "serve.breaker.short_circuits",
         "serve.breaker.half_open_probes"})
     metrics.counter(name);
-  for (const char* name :
-       {"serve.queue_wait_cycles", "serve.end_to_end_cycles", "serve.rung"})
+  for (const char* name : {"serve.end_to_end_cycles", "serve.rung"})
     metrics.histogram(name);
-  metrics.gauge("serve.async.workers");
 }
 
 std::vector<GemmServer::Rung> GemmServer::build_ladder(core::Algo requested,
@@ -181,33 +176,6 @@ double GemmServer::backoff(int attempt) const {
   obs::MetricRegistry::current().counter("serve.backoff_ms").add(ms);
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
   return ms;
-}
-
-void GemmServer::ensure_async_started() {
-  std::lock_guard lock(async_mu_);
-  if (queue_) return;
-  queue_ = std::make_unique<exec::BoundedTaskQueue>(cfg_.async_queue_depth);
-  const int workers = exec::resolve_workers(cfg_.async_workers);
-  obs::MetricRegistry::current().gauge("serve.async.workers").set(workers);
-  async_threads_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    async_threads_.emplace_back([this] {
-      std::function<void()> task;
-      // pop_blocking keeps returning queued tasks after close() until the
-      // queue is drained, so shutdown completes every accepted request.
-      while (queue_->pop_blocking(task)) task();
-    });
-  }
-}
-
-GemmServer::~GemmServer() {
-  if (queue_) queue_->close();
-  for (std::thread& t : async_threads_) t.join();
-}
-
-GemmServer& GemmServer::global() {
-  static GemmServer server;
-  return server;
 }
 
 }  // namespace kami::serve

@@ -25,26 +25,26 @@
 //     whether to close it again.
 //
 // Every request is additionally observable: it gets a request id, its
-// end-to-end and queue-wait latencies land in serve.* histograms and the
+// end-to-end latency lands in the serve.end_to_end_cycles histogram and the
 // attached SloTracker, and — when a FlightRecorder is attached — a full
-// span trace (admit -> queue_wait -> per-rung plan/attempt/backoff ->
-// typed completion) on the deterministic logical-cycle timeline
-// obs::TraceBuilder defines.
+// span trace (admit -> per-rung plan/attempt/backoff -> typed completion)
+// on the deterministic logical-cycle timeline obs::TraceBuilder defines.
+//
+// GemmServer is synchronous: one device's ladder, called on the caller's
+// thread. Queueing, async submission and worker threads live one level up,
+// in FleetServer (serve/fleet.hpp); a single device is a one-device fleet.
 //
 // Everything is deterministic: same request + same fault state => same
 // result, same rung, same error message, same trace bytes.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -52,7 +52,6 @@
 #include "core/analytic_planner.hpp"
 #include "core/kami.hpp"
 #include "core/profile_cache.hpp"
-#include "exec/task_queue.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
@@ -76,15 +75,6 @@ struct ServeConfig {
   double backoff_max_ms = 8.0;
   int breaker_failure_threshold = 3;    ///< consecutive failures that trip a rung
   int breaker_cooldown_requests = 8;    ///< open requests before a half-open probe
-
-  /// Async serving (submit_async): worker threads draining the bounded
-  /// request queue. 0 = defer to the KAMI_THREADS environment variable
-  /// (default 1). Workers start lazily on the first submit_async.
-  int async_workers = 0;
-  /// Capacity of the async request queue. A submit_async against a full
-  /// queue is refused with a ready ResourceExhausted future — backpressure
-  /// is typed, never blocking, and never touches breakers or retries.
-  std::size_t async_queue_depth = 64;
 
   /// Build a span trace per request. Traces are only materialized when a
   /// flight recorder is attached, so the default configuration pays nothing.
@@ -120,9 +110,9 @@ struct ServeResult {
   int attempts = 0;          ///< kernel attempts across all rungs
   int warps = 0;
   double smem_ratio = 0.0;
-  /// The request's final logical clock: queue wait + per-attempt kernel
-  /// latency + configured backoff (+ the spent budget on a deadline abort),
-  /// in simulated cycles. This is the quantity the serve.end_to_end_cycles
+  /// The request's final logical clock: per-attempt kernel latency +
+  /// configured backoff (+ the spent budget on a deadline abort), in
+  /// simulated cycles. This is the quantity the serve.end_to_end_cycles
   /// histogram and the SLO tracker observe; FleetServer reads it to account
   /// a whole failover chain as one fleet request.
   double end_to_end_cycles = 0.0;
@@ -132,41 +122,19 @@ struct ServeResult {
 
 class GemmServer {
  public:
-  /// Construction is passive — no queue, no worker threads (those start
-  /// lazily on the first submit_async) — but it does pre-register the
-  /// serve.* metrics at zero, so a server that is constructed and destroyed
-  /// without ever serving exports zero-valued (not absent) counters.
+  /// Construction is passive, but it does pre-register the serve.* metrics
+  /// at zero, so a server that is constructed and destroyed without ever
+  /// serving exports zero-valued (not absent) counters.
   explicit GemmServer(ServeConfig cfg = {});
-
-  /// Drains and completes every queued async request, then joins the
-  /// workers: a future returned by submit_async is always eventually ready.
-  ~GemmServer();
   GemmServer(const GemmServer&) = delete;
   GemmServer& operator=(const GemmServer&) = delete;
 
+  /// Serve one request through the ladder. Never throws; every failure is
+  /// typed. Safe to call from several threads at once (breaker state is
+  /// mutex-guarded).
   template <Scalar T>
   ServeResult<T> serve(core::Algo algo, const sim::DeviceSpec& dev, const Matrix<T>& A,
                        const Matrix<T>& B, core::GemmOptions opt = {});
-
-  /// Bounded-concurrency async request path: enqueue the request for the
-  /// worker pool (ServeConfig::async_workers, lazily started) and return a
-  /// future for its ServeResult. Operands are taken by value — the server
-  /// owns them for the request's lifetime. When the queue
-  /// (ServeConfig::async_queue_depth) is full, the future is already ready
-  /// with ErrorCode::ResourceExhausted; the refusal happens before any
-  /// ladder rung runs, so overload never trips breakers or burns retries.
-  /// The worker replays the submitting thread's FaultHooks, so an armed
-  /// fault applies to the request exactly as in a synchronous serve().
-  template <Scalar T>
-  std::future<ServeResult<T>> submit_async(core::Algo algo, const sim::DeviceSpec& dev,
-                                           Matrix<T> A, Matrix<T> B,
-                                           core::GemmOptions opt = {});
-
-  /// Queued-but-not-yet-claimed async requests (tests and dashboards).
-  std::size_t async_queue_size() const {
-    std::lock_guard lock(async_mu_);
-    return queue_ ? queue_->size() : 0;
-  }
 
   const ServeConfig& config() const noexcept { return cfg_; }
 
@@ -176,9 +144,6 @@ class GemmServer {
 
   /// Drop all breaker state (e.g. between chaos campaign phases).
   void reset_breakers();
-
-  /// The process-wide server library-level callers share.
-  static GemmServer& global();
 
  private:
   struct RungKey {
@@ -205,24 +170,10 @@ class GemmServer {
 
   static std::vector<Rung> build_ladder(core::Algo requested, const ServeConfig& cfg);
 
-  /// Per-request carry-through from the submission site into the ladder:
-  /// the request id and how long the request sat in the async queue
-  /// (0 for synchronous serves, which never queue).
-  struct RequestContext {
-    std::string id;
-    double queue_wait_cycles = 0.0;
-  };
-
   std::string next_request_id() {
     return cfg_.request_id_prefix + "-" +
            std::to_string(request_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
-
-  /// The instrumented ladder shared by serve() and the async workers.
-  template <Scalar T>
-  ServeResult<T> serve_request(const RequestContext& ctx, core::Algo algo,
-                               const sim::DeviceSpec& dev, const Matrix<T>& A,
-                               const Matrix<T>& B, core::GemmOptions opt);
 
   /// Admission decision: true = run the rung (Closed, or Open whose cooldown
   /// just expired — the half-open probe). False = short-circuit; *out gets
@@ -240,19 +191,10 @@ class GemmServer {
   /// request trace can advance its logical clock by the same quantity.
   double backoff(int attempt) const;
 
-  /// Create the queue and start the async workers on first use.
-  void ensure_async_started();
-
   ServeConfig cfg_;
   std::atomic<std::uint64_t> request_counter_{0};
   mutable std::mutex mu_;
   std::map<RungKey, Breaker> breakers_;
-
-  // Async serving. queue_ is created once under async_mu_ and never
-  // reassigned, so workers use it without further locking.
-  mutable std::mutex async_mu_;
-  std::unique_ptr<exec::BoundedTaskQueue> queue_;
-  std::vector<std::thread> async_threads_;
 };
 
 // ---------------------------------------------------------------------------
@@ -262,13 +204,6 @@ template <Scalar T>
 ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
                                  const Matrix<T>& A, const Matrix<T>& B,
                                  core::GemmOptions opt) {
-  return serve_request(RequestContext{next_request_id(), 0.0}, algo, dev, A, B, opt);
-}
-
-template <Scalar T>
-ServeResult<T> GemmServer::serve_request(const RequestContext& ctx, core::Algo algo,
-                                         const sim::DeviceSpec& dev, const Matrix<T>& A,
-                                         const Matrix<T>& B, core::GemmOptions opt) {
   auto& metrics = obs::MetricRegistry::current();
   metrics.counter("serve.requests").increment();
 
@@ -278,13 +213,13 @@ ServeResult<T> GemmServer::serve_request(const RequestContext& ctx, core::Algo a
   const std::size_t m = A.rows(), k = A.cols(), n = B.cols();
 
   // The request's logical clock: begins at 0, advances only by deterministic
-  // simulated quantities (queue wait, kernel latency, deadline budget,
-  // configured backoff). It exists whether or not a trace is built — the
+  // simulated quantities (kernel latency, deadline budget, configured
+  // backoff). It exists whether or not a trace is built — the
   // serve.end_to_end_cycles histogram and the SLO tracker read it.
   double clock = 0.0;
   std::optional<obs::TraceBuilder> trace;
   if (cfg_.tracing && cfg_.flight) {
-    trace.emplace(ctx.id);
+    trace.emplace(next_request_id());
     trace->set_meta("algo", algo_name(algo));
     trace->set_meta("device", dev.name);
     trace->set_meta("precision", precision_name(num_traits<T>::precision));
@@ -302,7 +237,6 @@ ServeResult<T> GemmServer::serve_request(const RequestContext& ctx, core::Algo a
   // (TraceBuilder::finish closes any still-open spans at the final clock).
   const auto complete = [&] {
     out.end_to_end_cycles = clock;
-    metrics.histogram("serve.queue_wait_cycles").observe(ctx.queue_wait_cycles);
     metrics.histogram("serve.end_to_end_cycles").observe(clock);
     if (cfg_.slo)
       cfg_.slo->record(m, n, k, out.code, out.rung_label, clock, opt.deadline_cycles);
@@ -344,11 +278,7 @@ ServeResult<T> GemmServer::serve_request(const RequestContext& ctx, core::Algo a
   if (trace) {
     trace->attr("result", "admitted");
     trace->close();
-    trace->open("queue_wait");
-    trace->attr_num("cycles", ctx.queue_wait_cycles);
   }
-  advance(ctx.queue_wait_cycles);
-  if (trace) trace->close();
 
   // -- degenerate shapes are well-defined, mode-independent no-ops: an empty
   // product (m or n zero) or an empty reduction (k zero, C = 0).
@@ -555,66 +485,6 @@ ServeResult<T> GemmServer::serve_request(const RequestContext& ctx, core::Algo a
     }
   }
   return fail(last.code, last.message);
-}
-
-template <Scalar T>
-std::future<ServeResult<T>> GemmServer::submit_async(core::Algo algo,
-                                                     const sim::DeviceSpec& dev,
-                                                     Matrix<T> A, Matrix<T> B,
-                                                     core::GemmOptions opt) {
-  ensure_async_started();
-  auto& metrics = obs::MetricRegistry::current();
-  metrics.counter("serve.async.submitted").increment();
-
-  // shared_ptr: std::function requires a copyable callable, std::promise is
-  // move-only.
-  auto promise = std::make_shared<std::promise<ServeResult<T>>>();
-  std::future<ServeResult<T>> future = promise->get_future();
-
-  // The id is assigned at submission (so ids reflect arrival order), but the
-  // queue wait is measured by the claiming worker: wall nanoseconds spent in
-  // the queue, converted to simulated cycles at the device's boost clock
-  // (1 GHz = 1 cycle/ns). Synchronous serves never queue and observe 0.
-  const std::string id = next_request_id();
-  const auto submitted = std::chrono::steady_clock::now();
-  const verify::FaultHooks hooks = verify::fault_hooks();
-  // Captured before A/B are moved into the task: a refusal still needs the
-  // request's shape for SLO accounting.
-  const std::size_t rm = A.rows();
-  const std::size_t rk = A.cols();
-  const std::size_t rn = B.cols();
-  auto task = [this, promise, algo, spec = dev, a = std::move(A), b = std::move(B),
-               opt, hooks, id, submitted]() {
-    const double wait_ns = std::chrono::duration<double, std::nano>(
-                               std::chrono::steady_clock::now() - submitted)
-                               .count();
-    RequestContext ctx{id, wait_ns * spec.boost_clock_ghz};
-    verify::ScopedFault fault(hooks);
-    try {
-      promise->set_value(serve_request(ctx, algo, spec, a, b, opt));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  };
-
-  if (!queue_->try_push(std::move(task))) {
-    // Backpressure: typed refusal before any rung, breaker, or retry is
-    // touched — overload must not poison the resilience machinery. The
-    // refusal still lands in SLO accounting (requests/errors/by_code), but
-    // observes no latency: the request never ran.
-    metrics.counter("serve.async.rejected").increment();
-    if (cfg_.slo) cfg_.slo->record_rejected(rm, rn, rk);
-    ServeResult<T> refused;
-    refused.requested = algo;
-    refused.code = ErrorCode::ResourceExhausted;
-    refused.message = "async request queue full (depth " +
-                      std::to_string(queue_->capacity()) +
-                      "); retry after in-flight requests drain";
-    promise->set_value(std::move(refused));
-    return future;
-  }
-  metrics.counter("serve.async.accepted").increment();
-  return future;
 }
 
 }  // namespace kami::serve

@@ -141,15 +141,20 @@ TEST(ParallelDeterminism, AutotuneIdenticalAcrossWorkerCounts) {
 
 TEST(ParallelDeterminism, ChaosCampaignReportIdenticalAcrossWorkerCounts) {
   const serve::ChaosReport serial = serve::run_campaign(21, 40, 1);
-  for (const int workers : {2, 4}) {
+  for (const int workers : {2, 4, 8}) {
     const serve::ChaosReport parallel = serve::run_campaign(21, 40, workers);
     EXPECT_EQ(parallel.ran, serial.ran) << workers;
     EXPECT_EQ(parallel.served_ok, serial.served_ok) << workers;
     EXPECT_EQ(parallel.typed_errors, serial.typed_errors) << workers;
-    EXPECT_EQ(parallel.deadline_replays, serial.deadline_replays) << workers;
+    EXPECT_EQ(parallel.failovers, serial.failovers) << workers;
+    EXPECT_EQ(parallel.hedged, serial.hedged) << workers;
+    EXPECT_EQ(parallel.storm_requests, serial.storm_requests) << workers;
+    EXPECT_EQ(parallel.storm_rejected, serial.storm_rejected) << workers;
     EXPECT_EQ(parallel.by_code, serial.by_code) << workers;
     EXPECT_EQ(parallel.by_rung, serial.by_rung) << workers;
     EXPECT_EQ(parallel.by_fault, serial.by_fault) << workers;
+    EXPECT_EQ(parallel.by_device, serial.by_device) << workers;
+    EXPECT_EQ(parallel.by_fleet, serial.by_fleet) << workers;
     ASSERT_EQ(parallel.violations.size(), serial.violations.size()) << workers;
     for (std::size_t i = 0; i < serial.violations.size(); ++i) {
       EXPECT_EQ(parallel.violations[i].seed, serial.violations[i].seed);

@@ -1,20 +1,22 @@
-// submit_async contract: results bit-equal the synchronous path, the
-// submitting thread's FaultHooks are replayed in the worker, a full queue
+// Async serving on a one-device FleetServer — the single-server async path.
+// Results bit-equal the synchronous path, and a threaded queue adds no
+// logical cycles (its host wait lands in host.queue_wait_ns); the
+// submitting thread's FaultHooks are replayed in the worker; a full queue
 // refuses with a typed ResourceExhausted future (never blocking, never
-// touching breakers or retries), and the destructor drains every accepted
-// request so futures are always eventually ready.
+// touching breakers or retries) that still lands in SLO accounting; and the
+// destructor drains every accepted request, so futures are always
+// eventually ready.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
 #include <future>
 #include <iterator>
+#include <memory>
 #include <vector>
 
-#include <memory>
-
 #include "obs/metrics.hpp"
-#include "serve/serve.hpp"
+#include "serve/fleet.hpp"
 #include "serve/slo.hpp"
 #include "util/rng.hpp"
 #include "verify/invariants.hpp"
@@ -23,9 +25,10 @@ namespace kami {
 namespace {
 
 using serve::ErrorCode;
-using serve::GemmServer;
-using serve::ServeConfig;
-using serve::ServeResult;
+using serve::FleetConfig;
+using serve::FleetDeviceConfig;
+using serve::FleetResult;
+using serve::FleetServer;
 
 double counter(const char* name) {
   return obs::MetricRegistry::global().counter(name).value();
@@ -47,35 +50,74 @@ bool bits_equal(const Matrix<T>& a, const Matrix<T>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
+/// A one-device GH200 fleet: `workers` threads drain its queue (0 = manual
+/// drain).
+FleetConfig one_device(int workers, std::size_t queue_depth = 64) {
+  FleetConfig cfg;
+  FleetDeviceConfig dev;
+  dev.spec = sim::gh200();
+  dev.queue_depth = queue_depth;
+  cfg.devices = {dev};
+  cfg.async_workers_per_device = workers;
+  return cfg;
+}
+
 TEST(AsyncServe, ResultsBitEqualSynchronousServe) {
-  GemmServer sync_server;
-  GemmServer async_server;
+  FleetServer sync_fleet(one_device(0));
+  FleetServer async_fleet(one_device(1));
   const std::size_t shapes[][3] = {{32, 32, 32}, {64, 64, 64}, {48, 16, 64}};
-  std::vector<std::future<ServeResult<fp16_t>>> futures;
-  std::vector<ServeResult<fp16_t>> want;
+  std::vector<std::future<FleetResult<fp16_t>>> futures;
+  std::vector<FleetResult<fp16_t>> want;
   for (std::size_t i = 0; i < std::size(shapes); ++i) {
     const auto [A, B] =
         operands<fp16_t>(shapes[i][0], shapes[i][1], shapes[i][2], 100 + i);
-    want.push_back(sync_server.serve<fp16_t>(Algo::OneD, sim::gh200(), A, B));
-    futures.push_back(
-        async_server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B));
+    want.push_back(sync_fleet.serve<fp16_t>(Algo::OneD, A, B));
+    futures.push_back(async_fleet.submit_async<fp16_t>(Algo::OneD, A, B));
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    const ServeResult<fp16_t> got = futures[i].get();
-    ASSERT_TRUE(got.ok()) << got.message;
-    EXPECT_EQ(got.code, want[i].code);
-    EXPECT_EQ(got.rung_label, want[i].rung_label);
-    EXPECT_EQ(got.attempts, want[i].attempts);
-    EXPECT_EQ(got.warps, want[i].warps);
-    EXPECT_TRUE(bits_equal(got.C, want[i].C)) << "entry " << i;
+    const FleetResult<fp16_t> got = futures[i].get();
+    ASSERT_TRUE(got.ok()) << got.result.message;
+    EXPECT_EQ(got.result.code, want[i].result.code);
+    EXPECT_EQ(got.result.rung_label, want[i].result.rung_label);
+    EXPECT_EQ(got.result.attempts, want[i].result.attempts);
+    EXPECT_EQ(got.result.warps, want[i].result.warps);
+    EXPECT_TRUE(bits_equal(got.result.C, want[i].result.C)) << "entry " << i;
   }
 }
 
+// Logical cycles never read a host clock: however long a request waits in a
+// threaded queue, its end-to-end cycles are exactly what a synchronous
+// serve reports, and the wait itself is host time in host.queue_wait_ns.
+TEST(AsyncServe, ThreadedQueueWaitAddsNoLogicalCycles) {
+  obs::ScopedMetricsReset reset;
+  FleetServer sync_fleet(one_device(0));
+  FleetServer async_fleet(one_device(2));
+  constexpr std::size_t kRequests = 6;
+  std::vector<std::future<FleetResult<fp16_t>>> futures;
+  std::vector<double> want;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const auto [A, B] = operands<fp16_t>(64, 32, 48, 200 + i);
+    want.push_back(sync_fleet.serve<fp16_t>(Algo::OneD, A, B).end_to_end_cycles);
+    futures.push_back(async_fleet.submit_async<fp16_t>(Algo::OneD, A, B));
+  }
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const FleetResult<fp16_t> got = futures[i].get();
+    ASSERT_TRUE(got.ok()) << got.result.message;
+    EXPECT_GT(want[i], 0.0);
+    EXPECT_EQ(got.end_to_end_cycles, want[i]) << "request " << i;
+    EXPECT_EQ(got.result.end_to_end_cycles, want[i]) << "request " << i;
+  }
+  const obs::Histogram* wait =
+      obs::MetricRegistry::global().find_histogram("host.queue_wait_ns");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count(), kRequests);
+}
+
 TEST(AsyncServe, SubmitterFaultHooksReplayInWorker) {
-  GemmServer server;
+  FleetServer fleet(one_device(1));
   const auto [A, B] = operands<fp16_t>(32, 32, 32);
 
-  std::future<ServeResult<fp16_t>> fut;
+  std::future<FleetResult<fp16_t>> fut;
   {
     // Transient fault armed only for the duration of the submit call. The
     // worker must still see it (snapshot semantics), fail once, retry, and
@@ -84,106 +126,77 @@ TEST(AsyncServe, SubmitterFaultHooksReplayInWorker) {
     hooks.warp_advance_skew = -1e9;
     hooks.armed_runs = 1;
     const verify::ScopedFault fault(hooks);
-    fut = server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B);
+    fut = fleet.submit_async<fp16_t>(Algo::OneD, A, B);
   }
-  const ServeResult<fp16_t> r = fut.get();
-  ASSERT_TRUE(r.ok()) << r.message;
-  EXPECT_EQ(r.attempts, 2);
-  EXPECT_EQ(r.rung_label, "kami_1d");
+  const FleetResult<fp16_t> r = fut.get();
+  ASSERT_TRUE(r.ok()) << r.result.message;
+  EXPECT_EQ(r.result.attempts, 2);
+  EXPECT_EQ(r.result.rung_label, "kami_1d");
   // The submitting thread's own hooks are untouched afterwards.
   EXPECT_EQ(verify::fault_hooks().warp_advance_skew, 0.0);
 }
 
 TEST(AsyncServe, FullQueueRefusesTypedWithoutTouchingBreakers) {
   obs::ScopedMetricsReset reset;
-  ServeConfig cfg;
-  cfg.async_workers = 1;
-  cfg.async_queue_depth = 2;
-  cfg.backoff_base_ms = 30.0;  // transient-fault retries keep the worker busy
-  cfg.backoff_max_ms = 30.0;
-
   constexpr std::size_t kBurst = 24;
-  std::vector<std::future<ServeResult<fp16_t>>> futures;
-  std::size_t refused = 0;
-  {
-    GemmServer server(cfg);
-    const auto [A, B] = operands<fp16_t>(32, 32, 32);
-    // First request carries a transient fault: the lone worker spends the
-    // retry backoff on it, so the burst below overflows the depth-2 queue.
-    {
-      verify::FaultHooks hooks;
-      hooks.warp_advance_skew = -1e9;
-      hooks.armed_runs = 1;
-      const verify::ScopedFault fault(hooks);
-      futures.push_back(
-          server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B));
-    }
-    for (std::size_t i = 1; i < kBurst; ++i)
-      futures.push_back(
-          server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B));
+  // Manual drain: nothing claims the depth-2 queue until drain(), so the
+  // burst overflows it deterministically.
+  FleetServer fleet(one_device(0, /*queue_depth=*/2));
+  const auto [A, B] = operands<fp16_t>(32, 32, 32);
+  std::vector<std::future<FleetResult<fp16_t>>> futures;
+  for (std::size_t i = 0; i < kBurst; ++i)
+    futures.push_back(fleet.submit_async<fp16_t>(Algo::OneD, A, B));
+  fleet.drain();
 
-    for (auto& f : futures) {
-      const ServeResult<fp16_t> r = f.get();
-      if (r.code == ErrorCode::ResourceExhausted) {
-        ++refused;
-        EXPECT_NE(r.message.find("async request queue full (depth 2)"),
-                  std::string::npos)
-            << r.message;
-        EXPECT_EQ(r.attempts, 0);  // refused before any rung ran
-      } else {
-        ASSERT_TRUE(r.ok()) << r.message;
-      }
+  std::size_t refused = 0;
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    const FleetResult<fp16_t> r = f.get();
+    if (r.result.code == ErrorCode::ResourceExhausted) {
+      ++refused;
+      EXPECT_NE(r.result.message.find("every eligible fleet queue is full"),
+                std::string::npos)
+          << r.result.message;
+      EXPECT_EQ(r.result.attempts, 0);  // refused before any rung ran
+      EXPECT_EQ(r.device_index, -1);
+    } else {
+      ASSERT_TRUE(r.ok()) << r.result.message;
     }
-    // Overload never counts against the resilience machinery: the rung's
-    // breaker stays closed and no refusal burned a retry.
-    EXPECT_EQ(server.breaker_state(sim::gh200().name, Algo::OneD, Precision::FP16,
-                                   32, 32, 32),
-              serve::BreakerState::Closed);
   }
-  EXPECT_GT(refused, 0u) << "burst never overflowed the depth-2 queue";
-  EXPECT_EQ(counter("serve.async.submitted"), static_cast<double>(kBurst));
-  EXPECT_EQ(counter("serve.async.accepted") + counter("serve.async.rejected"),
-            static_cast<double>(kBurst));
-  EXPECT_EQ(counter("serve.async.rejected"), static_cast<double>(refused));
+  EXPECT_EQ(refused, kBurst - 2);
+  // Overload never counts against the resilience machinery: the rung's
+  // breaker stays closed and no refusal burned a retry.
+  EXPECT_EQ(fleet.shard_server(0).breaker_state(sim::gh200().name, Algo::OneD,
+                                                Precision::FP16, 32, 32, 32),
+            serve::BreakerState::Closed);
+  EXPECT_EQ(counter("serve.retries"), 0.0);
+  EXPECT_EQ(counter("fleet.async.submitted"), static_cast<double>(kBurst));
+  EXPECT_EQ(counter("fleet.async.accepted"), 2.0);
+  EXPECT_EQ(counter("fleet.async.rejected"), static_cast<double>(refused));
 }
 
-// Queue-full refusals must reach the attached SLO tracker: previously a
-// rejected submission vanished from SLO accounting entirely (the shape class
-// under-reported its request and error counts), and a class consisting only
-// of refusals had no export at all.
+// Queue-full refusals must reach the attached SLO tracker: a rejected
+// submission is one request of its shape class, with an error coded
+// resource_exhausted and no latency observation.
 TEST(AsyncServe, QueueRefusalsLandInSloAccounting) {
-  ServeConfig cfg;
-  cfg.async_workers = 1;
-  cfg.async_queue_depth = 2;
-  cfg.backoff_base_ms = 30.0;
-  cfg.backoff_max_ms = 30.0;
+  FleetConfig cfg = one_device(0, /*queue_depth=*/2);
   const auto slo = std::make_shared<serve::SloTracker>();
   cfg.slo = slo;
 
   constexpr std::size_t kBurst = 24;
   std::size_t refused = 0;
   {
-    GemmServer server(cfg);
+    FleetServer fleet(std::move(cfg));
     const auto [A, B] = operands<fp16_t>(32, 32, 32);
-    std::vector<std::future<ServeResult<fp16_t>>> futures;
-    {
-      verify::FaultHooks hooks;  // stall the lone worker (see the test above)
-      hooks.warp_advance_skew = -1e9;
-      hooks.armed_runs = 1;
-      const verify::ScopedFault fault(hooks);
-      futures.push_back(
-          server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B));
-    }
-    for (std::size_t i = 1; i < kBurst; ++i)
-      futures.push_back(
-          server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B));
+    std::vector<std::future<FleetResult<fp16_t>>> futures;
+    for (std::size_t i = 0; i < kBurst; ++i)
+      futures.push_back(fleet.submit_async<fp16_t>(Algo::OneD, A, B));
+    fleet.drain();
     for (auto& f : futures)
-      if (f.get().code == ErrorCode::ResourceExhausted) ++refused;
+      if (f.get().result.code == ErrorCode::ResourceExhausted) ++refused;
   }
   ASSERT_GT(refused, 0u) << "burst never overflowed the depth-2 queue";
 
-  // Every submission — served or refused — is one SLO request; the refusals
-  // are errors coded resource_exhausted with no latency observation.
   EXPECT_EQ(slo->total_requests(), kBurst);
   const obs::Json doc = slo->to_json();
   const obs::Json& cls = doc.at("classes").at(0);
@@ -196,34 +209,31 @@ TEST(AsyncServe, QueueRefusalsLandInSloAccounting) {
 }
 
 TEST(AsyncServe, DestructorDrainsEveryAcceptedRequest) {
-  std::vector<std::future<ServeResult<fp16_t>>> futures;
+  std::vector<std::future<FleetResult<fp16_t>>> futures;
   {
-    ServeConfig cfg;
-    cfg.async_workers = 2;
-    GemmServer server(cfg);
+    FleetServer fleet(one_device(2));
     for (std::uint64_t s = 0; s < 8; ++s) {
       const auto [A, B] = operands<fp16_t>(32, 32, 32, s + 1);
-      futures.push_back(
-          server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B));
+      futures.push_back(fleet.submit_async<fp16_t>(Algo::OneD, A, B));
     }
-  }  // ~GemmServer drains the queue and joins the workers
+  }  // ~FleetServer joins the workers and drains anything still queued
   for (auto& f : futures) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-    const ServeResult<fp16_t> r = f.get();
-    EXPECT_TRUE(r.ok() || r.code == ErrorCode::ResourceExhausted) << r.message;
+    const FleetResult<fp16_t> r = f.get();
+    EXPECT_TRUE(r.ok() || r.result.code == ErrorCode::ResourceExhausted)
+        << r.result.message;
   }
 }
 
 TEST(AsyncServe, ErrorsArriveTypedNotAsExceptions) {
-  GemmServer server;
+  FleetServer fleet(one_device(1));
   // Inner dimensions disagree: must come back as a typed InvalidRequest
   // through the future, not an exception.
   Matrix<fp16_t> A(32, 16), B(32, 32);
-  auto fut = server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), std::move(A),
-                                         std::move(B));
-  const ServeResult<fp16_t> r = fut.get();
-  EXPECT_EQ(r.code, ErrorCode::InvalidRequest);
-  EXPECT_FALSE(r.message.empty());
+  auto fut = fleet.submit_async<fp16_t>(Algo::OneD, std::move(A), std::move(B));
+  const FleetResult<fp16_t> r = fut.get();
+  EXPECT_EQ(r.result.code, ErrorCode::InvalidRequest);
+  EXPECT_FALSE(r.result.message.empty());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// Circuit breaker state transitions under concurrent submit_async: a burst
-// of failing requests trips a rung exactly once, the half-open window admits
-// concurrent probes without losing the recovery, and a failed probe reopens.
-// This suite runs under ThreadSanitizer in CI — the assertions below are
-// deliberately restricted to invariants that hold for every interleaving of
-// worker threads (breaker admission is mutex-serialized, so short-circuit
-// and probe *counts* are deterministic even when completion order is not).
+// Circuit breaker state transitions under concurrent submit_async on a
+// one-device FleetServer whose four workers race the shard's GemmServer: a
+// burst of failing requests trips a rung exactly once, the half-open window
+// admits concurrent probes without losing the recovery, and a failed probe
+// reopens. This suite runs under ThreadSanitizer in CI — the assertions
+// below are deliberately restricted to invariants that hold for every
+// interleaving of worker threads (breaker admission is mutex-serialized, so
+// short-circuit and probe *counts* are deterministic even when completion
+// order is not).
 #include <gtest/gtest.h>
 
 #include <future>
@@ -12,7 +14,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "serve/serve.hpp"
+#include "serve/fleet.hpp"
 #include "util/rng.hpp"
 #include "verify/invariants.hpp"
 
@@ -21,9 +23,10 @@ namespace {
 
 using serve::BreakerState;
 using serve::ErrorCode;
-using serve::GemmServer;
-using serve::ServeConfig;
-using serve::ServeResult;
+using serve::FleetConfig;
+using serve::FleetDeviceConfig;
+using serve::FleetResult;
+using serve::FleetServer;
 
 double counter(const char* name) {
   return obs::MetricRegistry::global().counter(name).value();
@@ -38,14 +41,25 @@ std::pair<Matrix<T>, Matrix<T>> operands(std::size_t m, std::size_t n, std::size
   return {std::move(A), std::move(B)};
 }
 
-/// Single-rung server: degradation and reference fallback off, so a rung
-/// failure is a typed error instead of a lower rung masking the breaker.
-ServeConfig bare_rung(int workers) {
-  ServeConfig cfg;
-  cfg.allow_degradation = false;
-  cfg.allow_reference_fallback = false;
-  cfg.async_workers = workers;
+/// A one-device GH200 fleet drained by `workers` threads whose shard serves
+/// a single rung: degradation and reference fallback off, so a rung failure
+/// is a typed error instead of a lower rung masking the breaker.
+FleetConfig bare_rung(int workers, int failure_threshold, int cooldown_requests) {
+  FleetDeviceConfig dev;
+  dev.spec = sim::gh200();
+  dev.serve.allow_degradation = false;
+  dev.serve.allow_reference_fallback = false;
+  dev.serve.breaker_failure_threshold = failure_threshold;
+  dev.serve.breaker_cooldown_requests = cooldown_requests;
+  FleetConfig cfg;
+  cfg.devices = {dev};
+  cfg.async_workers_per_device = workers;
   return cfg;
+}
+
+BreakerState rung_state(FleetServer& fleet) {
+  return fleet.shard_server(0).breaker_state(sim::gh200().name, Algo::OneD,
+                                             Precision::FP16, 32, 32, 32);
 }
 
 verify::FaultHooks permanent_fault() {
@@ -57,32 +71,29 @@ verify::FaultHooks permanent_fault() {
 
 TEST(BreakerConcurrency, ConcurrentFailuresTripTheRungExactlyOnce) {
   obs::ScopedMetricsReset reset;
-  ServeConfig cfg = bare_rung(/*workers=*/4);
-  cfg.breaker_failure_threshold = 3;
-  cfg.breaker_cooldown_requests = 1000;  // no probe during the burst
   constexpr std::size_t kBurst = 12;
 
-  std::vector<std::future<ServeResult<fp16_t>>> futures;
+  std::vector<std::future<FleetResult<fp16_t>>> futures;
   {
-    GemmServer server(cfg);
+    // Threshold 3, and a cooldown long enough that no probe fires during
+    // the burst.
+    FleetServer fleet(bare_rung(/*workers=*/4, 3, 1000));
     const auto [A, B] = operands<fp16_t>(32, 32, 32);
     {
       // Hooks snapshot at submission: every queued request carries the fault.
       const verify::ScopedFault guard(permanent_fault());
       for (std::size_t i = 0; i < kBurst; ++i)
-        futures.push_back(server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B));
+        futures.push_back(fleet.submit_async<fp16_t>(Algo::OneD, A, B));
     }
     for (auto& f : futures) {
-      const ServeResult<fp16_t> r = f.get();
+      const FleetResult<fp16_t> r = f.get();
       // Every request fails typed — by running the rung or by short-circuit,
       // which reports the stored failure code, never a different one.
       EXPECT_FALSE(r.ok());
-      EXPECT_EQ(r.code, ErrorCode::TransientFault) << r.message;
-      EXPECT_FALSE(r.message.empty());
+      EXPECT_EQ(r.result.code, ErrorCode::TransientFault) << r.result.message;
+      EXPECT_FALSE(r.result.message.empty());
     }
-    EXPECT_EQ(server.breaker_state(sim::gh200().name, Algo::OneD, Precision::FP16,
-                                   32, 32, 32),
-              BreakerState::Open);
+    EXPECT_EQ(rung_state(fleet), BreakerState::Open);
   }
   // However the 4 workers interleave, the Closed -> Open transition happens
   // exactly once: later failures land on an already-open breaker, and the
@@ -97,21 +108,16 @@ TEST(BreakerConcurrency, ConcurrentFailuresTripTheRungExactlyOnce) {
 
 TEST(BreakerConcurrency, HalfOpenWindowAdmitsConcurrentProbesAndClosesOnce) {
   obs::ScopedMetricsReset reset;
-  ServeConfig cfg = bare_rung(/*workers=*/4);
-  cfg.breaker_failure_threshold = 1;
-  cfg.breaker_cooldown_requests = 4;
   constexpr std::size_t kBurst = 16;
 
-  GemmServer server(cfg);
+  FleetServer fleet(bare_rung(/*workers=*/4, 1, 4));
   const auto [A, B] = operands<fp16_t>(32, 32, 32);
   {
     const verify::ScopedFault guard(permanent_fault());
-    const auto r = server.serve<fp16_t>(Algo::OneD, sim::gh200(), A, B);
-    ASSERT_EQ(r.code, ErrorCode::TransientFault) << r.message;
+    const auto r = fleet.serve<fp16_t>(Algo::OneD, A, B);
+    ASSERT_EQ(r.result.code, ErrorCode::TransientFault) << r.result.message;
   }
-  ASSERT_EQ(server.breaker_state(sim::gh200().name, Algo::OneD, Precision::FP16,
-                                 32, 32, 32),
-            BreakerState::Open);
+  ASSERT_EQ(rung_state(fleet), BreakerState::Open);
   ASSERT_EQ(counter("serve.breaker.trips"), 1.0);
 
   // Fault cleared; a concurrent burst races the half-open transition. The
@@ -119,25 +125,25 @@ TEST(BreakerConcurrency, HalfOpenWindowAdmitsConcurrentProbesAndClosesOnce) {
   // short-circuit, the next one flips the breaker half-open, and every
   // request admitted during the half-open window (the race this test pins)
   // serves — the first success closes the breaker, exactly once.
-  std::vector<std::future<ServeResult<fp16_t>>> futures;
+  std::vector<std::future<FleetResult<fp16_t>>> futures;
   for (std::size_t i = 0; i < kBurst; ++i)
-    futures.push_back(server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B));
+    futures.push_back(fleet.submit_async<fp16_t>(Algo::OneD, A, B));
   std::size_t ok = 0, short_circuited = 0;
   for (auto& f : futures) {
-    const ServeResult<fp16_t> r = f.get();
+    const FleetResult<fp16_t> r = f.get();
     if (r.ok()) {
       ++ok;
     } else {
       ++short_circuited;
-      EXPECT_EQ(r.code, ErrorCode::TransientFault) << r.message;  // stored code
-      EXPECT_NE(r.message.find("short-circuited"), std::string::npos) << r.message;
+      // The stored code, and the breaker's short-circuit message.
+      EXPECT_EQ(r.result.code, ErrorCode::TransientFault) << r.result.message;
+      EXPECT_NE(r.result.message.find("short-circuited"), std::string::npos)
+          << r.result.message;
     }
   }
   EXPECT_EQ(short_circuited, 4u);
   EXPECT_EQ(ok, kBurst - 4u);
-  EXPECT_EQ(server.breaker_state(sim::gh200().name, Algo::OneD, Precision::FP16,
-                                 32, 32, 32),
-            BreakerState::Closed);
+  EXPECT_EQ(rung_state(fleet), BreakerState::Closed);
   EXPECT_EQ(counter("serve.breaker.short_circuits"), 4.0);
   EXPECT_EQ(counter("serve.breaker.half_open_probes"), 1.0);
   EXPECT_EQ(counter("serve.breaker.closes"), 1.0);
@@ -146,31 +152,26 @@ TEST(BreakerConcurrency, HalfOpenWindowAdmitsConcurrentProbesAndClosesOnce) {
 
 TEST(BreakerConcurrency, FailedProbeReopensUnderConcurrentLoad) {
   obs::ScopedMetricsReset reset;
-  ServeConfig cfg = bare_rung(/*workers=*/4);
-  cfg.breaker_failure_threshold = 1;
-  cfg.breaker_cooldown_requests = 2;
   constexpr std::size_t kBurst = 8;
 
-  std::vector<std::future<ServeResult<fp16_t>>> futures;
+  std::vector<std::future<FleetResult<fp16_t>>> futures;
   {
-    GemmServer server(cfg);
+    FleetServer fleet(bare_rung(/*workers=*/4, 1, 2));
     const auto [A, B] = operands<fp16_t>(32, 32, 32);
     const verify::ScopedFault guard(permanent_fault());
-    const auto r = server.serve<fp16_t>(Algo::OneD, sim::gh200(), A, B);
-    ASSERT_EQ(r.code, ErrorCode::TransientFault) << r.message;
+    const auto r = fleet.serve<fp16_t>(Algo::OneD, A, B);
+    ASSERT_EQ(r.result.code, ErrorCode::TransientFault) << r.result.message;
 
     // Fault still armed: every probe the concurrent burst earns fails and
     // reopens the breaker; nothing can close it.
     for (std::size_t i = 0; i < kBurst; ++i)
-      futures.push_back(server.submit_async<fp16_t>(Algo::OneD, sim::gh200(), A, B));
+      futures.push_back(fleet.submit_async<fp16_t>(Algo::OneD, A, B));
     for (auto& f : futures) {
-      const ServeResult<fp16_t> r2 = f.get();
+      const FleetResult<fp16_t> r2 = f.get();
       EXPECT_FALSE(r2.ok());
-      EXPECT_EQ(r2.code, ErrorCode::TransientFault) << r2.message;
+      EXPECT_EQ(r2.result.code, ErrorCode::TransientFault) << r2.result.message;
     }
-    EXPECT_EQ(server.breaker_state(sim::gh200().name, Algo::OneD, Precision::FP16,
-                                   32, 32, 32),
-              BreakerState::Open);
+    EXPECT_EQ(rung_state(fleet), BreakerState::Open);
   }
   EXPECT_GE(counter("serve.breaker.trips"), 2.0);  // initial trip + >= 1 reopen
   EXPECT_EQ(counter("serve.breaker.closes"), 0.0);

@@ -374,7 +374,7 @@ TEST(FleetLifecycle, ConstructDestroyIsANoOpWithZeroValuedMetrics) {
        {"fleet.requests", "fleet.ok", "fleet.errors", "fleet.failovers",
         "fleet.hedges", "fleet.blackout_refusals", "fleet.overflow_reroutes",
         "fleet.async.submitted", "fleet.async.rejected", "serve.requests",
-        "serve.ok", "serve.errors", "serve.async.submitted"}) {
+        "serve.ok", "serve.errors"}) {
     const auto* c = metrics.find_counter(name);
     ASSERT_NE(c, nullptr) << name;
     EXPECT_EQ(c->value(), 0.0) << name;
@@ -382,9 +382,6 @@ TEST(FleetLifecycle, ConstructDestroyIsANoOpWithZeroValuedMetrics) {
   const auto* fleet_workers = metrics.find_gauge("fleet.async.workers");
   ASSERT_NE(fleet_workers, nullptr);
   EXPECT_EQ(fleet_workers->value(), 0.0);  // lazy workers never started
-  const auto* serve_workers = metrics.find_gauge("serve.async.workers");
-  ASSERT_NE(serve_workers, nullptr);
-  EXPECT_EQ(serve_workers->value(), 0.0);
   const auto* devices = metrics.find_gauge("fleet.devices");
   ASSERT_NE(devices, nullptr);
   EXPECT_EQ(devices->value(), 4.0);

@@ -3,9 +3,20 @@
 //
 //   kami_chaos [--points N] [--seed S] [--threads W] [--json out.json]
 //              [--flight out.json]
-//   kami_chaos --smoke [--json out.json]     small fixed campaign for CI
-//   kami_chaos --soak [...]                  shared-server sequential soak
-//   kami_chaos --fleet [...]                 multi-device FleetServer campaign
+//   kami_chaos --smoke [...]                 120-point campaign for CI
+//
+// Each point serves a randomized GEMM request through a fresh FleetServer —
+// a one-device fleet of the point's own device, or the four Table-3 devices
+// — under randomized adversity: injected transient/permanent faults,
+// allocation failures, cycle deadlines, execution modes, device blackouts,
+// router-misprediction skew, and queue-overflow storms. It checks the
+// resilience contract: bit-correct result or typed error — never a crash,
+// hang, lost request, or silent corruption — plus failover bit-identity,
+// probe recovery, and a byte-identical replay of the whole scenario. Exit
+// status is nonzero when any point violates the contract.
+//
+// Points are independent, so the campaign fans out across --threads workers
+// with a bit-identical report.
 //
 // Every request is traced into a flight recorder (typed-error traces are
 // always retained; ok traces ride a bounded ring). --flight writes the
@@ -14,25 +25,6 @@
 // dump is auto-written to kami_chaos_flight.json so the evidence survives.
 // The --json run report carries a per-shape-class `slo` section
 // (kami.obs.run v2) with latency percentiles and deadline attainment.
-//
-// Each point serves a randomized GEMM request under randomized adversity
-// (injected transient/permanent faults, allocation failures, cycle deadlines,
-// execution modes) and checks the resilience contract: bit-correct result or
-// typed error — never a crash, hang, or silent corruption; deadline aborts
-// replay deterministically. Exit status is nonzero when any point violates
-// the contract.
-//
-// The default campaign gives every point a fresh server (order-independent,
-// so it fans out across --threads workers with a bit-identical report).
-// --soak keeps the original shared-server mode: points run sequentially and
-// interact through the server's circuit breakers.
-//
-// --fleet runs the FleetServer campaign instead (src/serve/fleet_chaos.hpp):
-// each point serves through a fresh four-device fleet under seeded blackouts,
-// router-misprediction skew, and queue-overflow storms, checking the fleet
-// contract (bit-correct-or-typed, no request lost, failover bit-identity,
-// probe recovery, deterministic replay) on top of the serving contract.
-// Replay a fleet violation with: kami_chaos --fleet --seed <s> --points 1.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -44,8 +36,8 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "parse_count.hpp"
 #include "serve/chaos.hpp"
-#include "serve/fleet_chaos.hpp"
 #include "serve/slo.hpp"
 #include "util/table.hpp"
 
@@ -57,10 +49,8 @@ int usage() {
   std::cerr << "usage:\n"
             << "  kami_chaos [--points N] [--seed S] [--threads W] [--json out.json]\n"
             << "             [--flight out.json]\n"
-            << "  kami_chaos --smoke [--json out.json] [--flight out.json]\n"
-            << "  kami_chaos --soak [--points N] [--seed S] [--json out.json]\n"
-            << "  kami_chaos --fleet [--points N] [--seed S] [--threads W]\n"
-            << "             [--json out.json] [--flight out.json]\n";
+            << "  kami_chaos --smoke [--seed S] [--threads W] [--json out.json]\n"
+            << "             [--flight out.json]\n";
   return 2;
 }
 
@@ -85,71 +75,17 @@ void write_flight(const kami::obs::FlightRecorder& flight, const std::string& pa
             << " traces, " << flight.error_count() << " errors)\n";
 }
 
-int run(std::uint64_t seed, std::size_t points, int threads, bool soak,
-        const std::string& json_path, const std::string& flight_path) {
+int run(std::uint64_t seed, std::size_t points, int threads, const std::string& json_path,
+        const std::string& flight_path) {
   // The recorder and SLO tracker are always on: the whole point of a flight
   // recorder is that the evidence already exists when a violation appears.
   const auto flight = std::make_shared<kami::obs::FlightRecorder>();
   const auto slo = std::make_shared<kami::serve::SloTracker>();
   const kami::serve::ChaosReport rep =
-      soak ? kami::serve::run_chaos(seed, points, flight, slo)
-           : kami::serve::run_campaign(seed, points, threads, flight, slo);
+      kami::serve::run_campaign(seed, points, threads, flight, slo);
 
-  TablePrinter rungs = count_table(rep.by_rung);
-  rungs.print(std::cout, "served by rung");
-  if (!rep.by_code.empty()) {
-    TablePrinter codes = count_table(rep.by_code);
-    codes.print(std::cout, "typed errors by code");
-  }
-  TablePrinter faults = count_table(rep.by_fault);
-  faults.print(std::cout, "injected faults");
-
-  TablePrinter violations({"seed", "point", "detail"});
-  for (const auto& v : rep.violations)
-    violations.add_row({std::to_string(v.seed), v.point, v.detail});
-  if (!rep.violations.empty()) violations.print(std::cout, "contract violations");
-
-  if (!json_path.empty()) {
-    kami::obs::RunReport report("kami_chaos");
-    report.set_meta("base_seed", std::to_string(seed));
-    report.set_meta("mode", soak ? "soak" : "campaign");
-    report.set_meta("threads", std::to_string(threads));
-    report.set_meta("ran", std::to_string(rep.ran));
-    report.set_meta("served_ok", std::to_string(rep.served_ok));
-    report.set_meta("typed_errors", std::to_string(rep.typed_errors));
-    report.set_meta("deadline_replays", std::to_string(rep.deadline_replays));
-    report.set_meta("violations", std::to_string(rep.violations.size()));
-    report.add_table("served by rung", rungs);
-    report.add_table("injected faults", faults);
-    report.add_table("contract violations", violations);
-    report.set_metrics(kami::obs::MetricRegistry::global());
-    report.set_slo(slo->to_json());
-    write_report(report, json_path);
-  }
-
-  if (!flight_path.empty()) {
-    write_flight(*flight, flight_path);
-  } else if (!rep.clean()) {
-    // Violations with no dump destination: auto-dump so the traces that
-    // explain the failure are not lost with the process.
-    write_flight(*flight, "kami_chaos_flight.json");
-  }
-
-  std::cout << (rep.clean() ? "OK" : "FAILED") << " (ran " << rep.ran << ", served "
-            << rep.served_ok << ", typed errors " << rep.typed_errors
-            << ", deadline replays " << rep.deadline_replays << ", violations "
-            << rep.violations.size() << ")\n"
-            << "replay any seed with: kami_chaos --seed <s> --points 1\n";
-  return rep.clean() ? 0 : 1;
-}
-
-int run_fleet(std::uint64_t seed, std::size_t points, int threads,
-              const std::string& json_path, const std::string& flight_path) {
-  const auto flight = std::make_shared<kami::obs::FlightRecorder>();
-  const auto slo = std::make_shared<kami::serve::SloTracker>();
-  const kami::serve::FleetChaosReport rep =
-      kami::serve::run_fleet_campaign(seed, points, threads, flight, slo);
-
+  TablePrinter fleets = count_table(rep.by_fleet);
+  fleets.print(std::cout, "fleet size");
   TablePrinter rungs = count_table(rep.by_rung);
   rungs.print(std::cout, "served by rung");
   if (!rep.by_code.empty()) {
@@ -169,7 +105,6 @@ int run_fleet(std::uint64_t seed, std::size_t points, int threads,
   if (!json_path.empty()) {
     kami::obs::RunReport report("kami_chaos");
     report.set_meta("base_seed", std::to_string(seed));
-    report.set_meta("mode", "fleet");
     report.set_meta("threads", std::to_string(threads));
     report.set_meta("ran", std::to_string(rep.ran));
     report.set_meta("served_ok", std::to_string(rep.served_ok));
@@ -179,6 +114,7 @@ int run_fleet(std::uint64_t seed, std::size_t points, int threads,
     report.set_meta("storm_requests", std::to_string(rep.storm_requests));
     report.set_meta("storm_rejected", std::to_string(rep.storm_rejected));
     report.set_meta("violations", std::to_string(rep.violations.size()));
+    report.add_table("fleet size", fleets);
     report.add_table("served by rung", rungs);
     report.add_table("served by device", devices);
     report.add_table("injected faults", faults);
@@ -191,7 +127,9 @@ int run_fleet(std::uint64_t seed, std::size_t points, int threads,
   if (!flight_path.empty()) {
     write_flight(*flight, flight_path);
   } else if (!rep.clean()) {
-    write_flight(*flight, "kami_chaos_fleet_flight.json");
+    // Violations with no dump destination: auto-dump so the traces that
+    // explain the failure are not lost with the process.
+    write_flight(*flight, "kami_chaos_flight.json");
   }
 
   std::cout << (rep.clean() ? "OK" : "FAILED") << " (ran " << rep.ran << ", served "
@@ -199,36 +137,37 @@ int run_fleet(std::uint64_t seed, std::size_t points, int threads,
             << rep.failovers << ", hedged " << rep.hedged << ", storm "
             << rep.storm_requests << " (" << rep.storm_rejected
             << " rejected), violations " << rep.violations.size() << ")\n"
-            << "replay any seed with: kami_chaos --fleet --seed <s> --points 1\n";
+            << "replay any seed with: kami_chaos --seed <s> --points 1\n";
   return rep.clean() ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using kami::tools::parse_count;
   const std::vector<std::string> args(argv + 1, argv + argc);
   std::uint64_t seed = 1;
   std::size_t points = 500;
   int threads = 0;  // 0 = defer to KAMI_THREADS
-  bool soak = false;
-  bool fleet = false;
   std::string json_path;
   std::string flight_path;
   try {
     for (std::size_t i = 0; i < args.size(); ++i) {
-      if (args[i] == "--points" && i + 1 < args.size()) points = std::stoul(args[++i]);
-      else if (args[i] == "--seed" && i + 1 < args.size()) seed = std::stoull(args[++i]);
-      else if (args[i] == "--threads" && i + 1 < args.size()) threads = std::stoi(args[++i]);
+      if (args[i] == "--points" && i + 1 < args.size())
+        points = parse_count<std::size_t>(args[++i]);
+      else if (args[i] == "--seed" && i + 1 < args.size())
+        seed = parse_count<std::uint64_t>(args[++i]);
+      else if (args[i] == "--threads" && i + 1 < args.size())
+        threads = parse_count<int>(args[++i]);
       else if (args[i] == "--json" && i + 1 < args.size()) json_path = args[++i];
       else if (args[i] == "--flight" && i + 1 < args.size()) flight_path = args[++i];
-      else if (args[i] == "--smoke") points = 60;
-      else if (args[i] == "--soak") soak = true;
-      else if (args[i] == "--fleet") fleet = true;
+      else if (args[i] == "--smoke") points = 120;
       else return usage();
     }
-    if (fleet && soak) return usage();
-    if (fleet) return run_fleet(seed, points, threads, json_path, flight_path);
-    return run(seed, points, threads, soak, json_path, flight_path);
+    return run(seed, points, threads, json_path, flight_path);
+  } catch (const kami::tools::BadCount& bad) {
+    std::cerr << "kami_chaos: malformed count \"" << bad.text << "\"\n";
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "kami_chaos: " << e.what() << "\n";
     return 1;

@@ -27,6 +27,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "parse_count.hpp"
 #include "util/table.hpp"
 #include "verify/differential.hpp"
 #include "verify/model_check.hpp"
@@ -207,6 +208,7 @@ int cmd_model(std::uint64_t seed, std::size_t iters, int threads,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using kami::tools::parse_count;
   const std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) return usage();
   try {
@@ -224,11 +226,12 @@ int main(int argc, char** argv) {
       int threads = 0;  // 0 = defer to KAMI_THREADS
       std::string json_path;
       for (std::size_t i = 1; i < args.size(); ++i) {
-        if (args[i] == "--seed" && i + 1 < args.size()) seed = std::stoull(args[++i]);
+        if (args[i] == "--seed" && i + 1 < args.size())
+          seed = parse_count<std::uint64_t>(args[++i]);
         else if (args[i] == "--iters" && i + 1 < args.size())
-          iters = std::stoul(args[++i]);
+          iters = parse_count<std::size_t>(args[++i]);
         else if (args[i] == "--threads" && i + 1 < args.size())
-          threads = std::stoi(args[++i]);
+          threads = parse_count<int>(args[++i]);
         else if (args[i] == "--json" && i + 1 < args.size()) json_path = args[++i];
         else return usage();
       }
@@ -236,7 +239,7 @@ int main(int argc, char** argv) {
     }
     if (args[0] == "repro") {
       if (args.size() != 2) return usage();
-      return cmd_repro(std::stoull(args[1]));
+      return cmd_repro(parse_count<std::uint64_t>(args[1]));
     }
     if (args[0] == "corpus") {
       if (args.size() < 2) return usage();
@@ -249,11 +252,12 @@ int main(int argc, char** argv) {
       std::string json_path;
       std::vector<std::string> corpus;
       for (std::size_t i = 1; i < args.size(); ++i) {
-        if (args[i] == "--seed" && i + 1 < args.size()) seed = std::stoull(args[++i]);
+        if (args[i] == "--seed" && i + 1 < args.size())
+          seed = parse_count<std::uint64_t>(args[++i]);
         else if (args[i] == "--iters" && i + 1 < args.size())
-          iters = std::stoul(args[++i]);
+          iters = parse_count<std::size_t>(args[++i]);
         else if (args[i] == "--threads" && i + 1 < args.size())
-          threads = std::stoi(args[++i]);
+          threads = parse_count<int>(args[++i]);
         else if (args[i] == "--json" && i + 1 < args.size()) json_path = args[++i];
         else if (args[i] == "--corpus") {
           while (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0)
@@ -262,6 +266,9 @@ int main(int argc, char** argv) {
       }
       return cmd_model(seed, iters, threads, json_path, corpus);
     }
+  } catch (const kami::tools::BadCount& bad) {
+    std::cerr << "kami_verify: malformed count \"" << bad.text << "\"\n";
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "kami_verify: " << e.what() << "\n";
     return 1;
