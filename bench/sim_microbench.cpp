@@ -438,9 +438,9 @@ void run_harness(bool smoke, const std::string& gate_path) {
   bench::run_report().set_meta("build_type", KAMI_BUILD_TYPE);
   bench::run_report().set_meta("simd_mode", core::numeric_simd_name());
   bench::run_report().set_meta(
-      "simd_lanes_f32", std::to_string(core::numeric_simd_lanes<float>));
+      "simd_lanes_f32", std::to_string(core::numeric_simd_lanes<float>()));
   bench::run_report().set_meta(
-      "simd_lanes_f64", std::to_string(core::numeric_simd_lanes<double>));
+      "simd_lanes_f64", std::to_string(core::numeric_simd_lanes<double>()));
   obs::RunReport gate_report("sim_microbench_gate");
   obs::RunReport* gate = gate_path.empty() ? nullptr : &gate_report;
   mode_comparison(reps);

@@ -10,7 +10,12 @@
 //     request walks KAMI-3D -> KAMI-2D -> KAMI-1D -> host reference GEMM
 //     (starting at the requested algorithm; tuning overrides are relaxed to
 //     planner-auto on degraded rungs). The rung that served is recorded in
-//     the returned ServeResult and in serve.served.* counters.
+//     the returned ServeResult and in serve.served.* counters. The
+//     reference rung runs the production host kernel (core::numeric_gemm:
+//     the sequential-k rounding model, bit-identical to the oracle in
+//     baselines/reference.hpp). That oracle is only what the tests,
+//     verify/ and the chaos contract check the rung against, so serving
+//     never runs the code that checks it.
 //   * retry with bounded exponential backoff — transient faults (injected
 //     through verify::FaultHooks, the chaos campaign's fault source) are
 //     retried up to max_attempts_per_rung times per rung.
@@ -48,7 +53,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/reference.hpp"
 #include "core/analytic_planner.hpp"
 #include "core/kami.hpp"
 #include "core/profile_cache.hpp"
@@ -333,7 +337,7 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
     if (rung.reference) {
       ++out.attempts;
       out.code = ErrorCode::Ok;
-      out.C = baselines::reference_gemm(A, B);
+      out.C = core::numeric_gemm(A, B);
       out.from_reference = true;
       out.degraded = true;
       out.rung = static_cast<int>(r);

@@ -17,11 +17,11 @@
 //                rate so multi-block steady state can still reach peak.
 //   Global     — gmem latency + bytes/bandwidth on the per-SM gmem port.
 //
-// Data plane (numerics half of each op). Since PR 10 the fragment ops run on
-// the same vector kernels as the NumericsOnly fast path
-// (core/vector_kernels.hpp): mma/fma_scalar decode operand rows through the
-// types/decode_tables LUT spans into arena scratch and accumulate with
-// accumulate_row_tile; add_inplace uses the element-wise add_span;
+// Data plane (numerics half of each op). The fragment ops run on the same
+// host kernel as the NumericsOnly fast path (core/vector_kernels.hpp):
+// mma/fma_scalar decode operand rows through the types/decode_tables LUT
+// spans into arena buffers and accumulate into the C fragment, at its row
+// stride, with gemm_accumulate; add_inplace uses the element-wise add_span;
 // fragment<->smem/global copies are row-granular memcpys. Each C element is
 // still one ascending-k sequential chain in accumulator precision, narrowed
 // once — so results are bit-identical to the scalar seed loops and to
@@ -36,7 +36,6 @@
 // handles at block-profile/destruction time instead of per op.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <string>
@@ -495,9 +494,10 @@ class Warp {
   /// one ascending-k sequential chain per output element in accumulator
   /// precision. Operand rows are decoded through the LUT spans into arena
   /// scratch once (hoisting the num_traits conversions out of the O(m*n*k)
-  /// loop), then the k-tiled accumulate_row_tile — the exact kernel the
-  /// NumericsOnly path runs — updates C rows in place. Bit-identical to the
-  /// scalar seed triple loop by the argument in core/vector_kernels.hpp.
+  /// loop), then gemm_accumulate — the exact kernel the NumericsOnly path
+  /// runs — updates the C window in place at the fragment's row stride.
+  /// Bit-identical to the scalar seed triple loop by the argument in
+  /// core/vector_kernels.hpp.
   template <Scalar T>
   void mma_accumulate(Fragment<typename num_traits<T>::acc_t>& C, std::size_t cr0,
                       std::size_t cc0, const FragView<T>& A, const FragView<T>& B) {
@@ -510,13 +510,8 @@ class Warp {
     Acc* Bf = arena.alloc<Acc>(fk * fn);
     for (std::size_t r = 0; r < fm; ++r) types::decode_span(A.row(r), Af + r * fk, fk);
     for (std::size_t r = 0; r < fk; ++r) types::decode_span(B.row(r), Bf + r * fn, fn);
-    Acc* cbase = C.data() + cr0 * C.cols() + cc0;
-    for (std::size_t kt = 0; kt < fk; kt += core::kNumericKTile) {
-      const std::size_t kend = std::min(kt + core::kNumericKTile, fk);
-      for (std::size_t i = 0; i < fm; ++i)
-        core::detail::accumulate_row_tile(cbase + i * C.cols(), Af + i * fk, Bf, kt, kend,
-                                          fn);
-    }
+    core::detail::gemm_accumulate(C.row_data(cr0) + cc0, C.cols(), Af, fk, Bf, fn, fm, fn,
+                                  fk);
   }
 
   /// Shared numerics for add_inplace/add_inplace_at: C[r0.., c0..] += P,

@@ -2,6 +2,7 @@
 // deadlines, transient-fault retry, and the per-rung circuit breaker.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 
 #include "baselines/reference.hpp"
@@ -93,6 +94,40 @@ TEST(ServeLadder, FallsBackToReferenceWhenEveryKamiRungIsInfeasible) {
   EXPECT_EQ(r.rung_label, "reference");
   EXPECT_TRUE(bits_equal(r.C, baselines::reference_gemm(A, B)));
   EXPECT_EQ(counter("serve.served.reference"), 1.0);
+}
+
+// The reference rung runs the production host kernel (core::numeric_gemm),
+// never the oracle it is checked against, and its C must equal that oracle
+// bit for bit. 97x61x83 has no legal plan on any KAMI rung; at 384^3 a
+// permanent clock fault keeps every KAMI rung from serving.
+template <Scalar T>
+void expect_reference_rung_matches_oracle(std::size_t m, std::size_t n, std::size_t k) {
+  SCOPED_TRACE(std::string(precision_name(num_traits<T>::precision)) + " " +
+               std::to_string(m) + "x" + std::to_string(n) + "x" + std::to_string(k));
+  GemmServer server;
+  const auto [A, B] = operands<T>(m, n, k, m + n + k);
+  const auto r = server.serve<T>(Algo::ThreeD, sim::gh200(), A, B);
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_TRUE(r.from_reference);
+  EXPECT_EQ(r.rung_label, "reference");
+  const Matrix<T> oracle = baselines::reference_gemm(A, B);
+  ASSERT_TRUE(r.C.same_shape(oracle));
+  EXPECT_EQ(std::memcmp(r.C.data(), oracle.data(), oracle.size() * sizeof(T)), 0);
+}
+
+TEST(ServeLadder, ReferenceRungRunsTheProductionKernel) {
+  obs::ScopedMetricsReset reset;
+  expect_reference_rung_matches_oracle<fp16_t>(97, 61, 83);
+  expect_reference_rung_matches_oracle<bf16_t>(97, 61, 83);
+  expect_reference_rung_matches_oracle<float>(97, 61, 83);
+  expect_reference_rung_matches_oracle<double>(97, 61, 83);
+
+  verify::FaultHooks fault;
+  fault.warp_advance_skew = -1e9;
+  fault.armed_runs = -1;
+  const verify::ScopedFault guard(fault);
+  expect_reference_rung_matches_oracle<double>(384, 384, 384);
+  EXPECT_EQ(counter("serve.served.reference"), 5.0);
 }
 
 TEST(ServeLadder, DegradationCanBeDisabled) {
