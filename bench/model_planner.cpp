@@ -150,7 +150,7 @@ void body() {
   core::TunePolicy aggressive;
   aggressive.top_k = 2;
   const core::TuneResult warm = core::autotune_gemm<fp16_t>(
-      dev, 112, 112, 112, kBlocks, core::default_candidates(), 0, aggressive);
+      dev, 112, 112, 112, kBlocks, core::default_candidates(), aggressive);
   TablePrinter tune({"autotune", "evaluated", "pruned", "winner tflops"});
   tune.add_row({"warm predictor, 112^3, top_k=2", std::to_string(warm.evaluated),
                 std::to_string(warm.pruned), fmt_double(warm.tflops, 2)});

@@ -13,10 +13,9 @@
 //      low-confidence predictions are always simulated, so a cold predictor
 //      degrades to the historical exhaustive sweep and the winner is always
 //      chosen among *simulated* outcomes.
-//   2. TimingOnly sweep of the survivors across the execution engine, then a
-//      serial fold in candidate order — metric updates, winner selection and
-//      the predictor feedback (every fresh simulation becomes a calibration
-//      observation) are identical for every worker count.
+//   2. TimingOnly simulation of the survivors, folded in candidate order:
+//      metric updates, winner selection and the predictor feedback (every
+//      fresh simulation becomes a calibration observation).
 //
 // best_gemm runs the winner's numerics exactly once and reuses the tuned
 // profile.
@@ -31,7 +30,6 @@
 #include "core/analytic_planner.hpp"
 #include "core/kami.hpp"
 #include "core/profile_cache.hpp"
-#include "exec/engine.hpp"
 #include "obs/metrics.hpp"
 
 namespace kami::core {
@@ -89,7 +87,7 @@ TuneResult autotune_gemm(const sim::DeviceSpec& dev, std::size_t m, std::size_t 
                          std::size_t k, std::size_t blocks = 16384,
                          const std::vector<TuneCandidate>& candidates =
                              default_candidates(),
-                         int threads = 0, const TunePolicy& policy = {}) {
+                         const TunePolicy& policy = {}) {
   KAMI_REQUIRE(m > 0 && n > 0 && k > 0,
                "matrix dimensions must be positive, got m=" + std::to_string(m) +
                    " n=" + std::to_string(n) + " k=" + std::to_string(k));
@@ -149,40 +147,30 @@ TuneResult autotune_gemm(const sim::DeviceSpec& dev, std::size_t m, std::size_t 
     if (r < static_cast<std::size_t>(std::max(policy.top_k, 0)))
       screens[prunable[r].first].simulate = true;
 
-  // -- phase 2: sweep the survivors across the execution engine (threads=0
-  // defers to KAMI_THREADS; 1 == the historical serial sweep).
-  const exec::ExecutionEngine engine(threads);
-  const auto outcomes =
-      engine.parallel_map<TuneOutcome>(candidates.size(), [&](std::size_t i) {
-        TuneOutcome o;
-        if (!screens[i].planned || !screens[i].simulate) return o;
-        try {
-          // TimingOnly through the cache: no operands, no arithmetic.
-          const CachedProfile prof = timing_profile<T>(
-              cache, candidates[i].algo, dev, m, n, k, screens[i].opt);
-          o.feasible = true;
-          o.tflops = sim::throughput_tflops(dev, prof.profile, blocks);
-          o.profile = prof.profile;
-          o.warps = prof.warps;
-          o.smem_ratio = prof.smem_ratio;
-        } catch (const PreconditionError&) {
-          // The simulation can still reject what the planner accepted (e.g.
-          // an injected allocation fault); count it with the infeasible ones.
-        }
-        return o;
-      });
-
-  // -- phase 3: serial fold in candidate order — counters, the winner, and
-  // the predictor feedback are bit-identical for every worker count.
+  // -- phase 2: simulate the survivors (TimingOnly through the cache: no
+  // operands, no arithmetic) and fold each outcome in candidate order.
+  std::vector<TuneOutcome> outcomes(candidates.size());
   TuneResult best;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (screens[i].planned && !screens[i].simulate) {
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const Screen& s = screens[i];
+    if (s.planned && !s.simulate) {
       ++best.pruned;
       pruned_ctr.increment();
       metrics.counter("model.predictions").increment();
       continue;
     }
-    const TuneOutcome& o = outcomes[i];
+    TuneOutcome& o = outcomes[i];
+    if (s.planned) {
+      try {
+        const CachedProfile prof =
+            timing_profile<T>(cache, candidates[i].algo, dev, m, n, k, s.opt);
+        o = {true, sim::throughput_tflops(dev, prof.profile, blocks), prof.profile,
+             prof.warps, prof.smem_ratio};
+      } catch (const PreconditionError&) {
+        // The simulation can still reject what the planner accepted (e.g. an
+        // injected allocation fault); count it with the infeasible ones.
+      }
+    }
     if (!o.feasible) {
       infeasible.increment();
       continue;
@@ -190,11 +178,11 @@ TuneResult autotune_gemm(const sim::DeviceSpec& dev, std::size_t m, std::size_t 
     ++best.evaluated;
     evaluated.increment();
     metrics.histogram("autotune.candidate_tflops").observe(o.tflops);
-    if (screens[i].prediction.calibrated && o.profile.latency > 0.0)
+    if (s.prediction.calibrated && o.profile.latency > 0.0)
       metrics.histogram("model.prediction_error_pct")
-          .observe(100.0 * std::abs(o.profile.latency - screens[i].prediction.cycles) /
+          .observe(100.0 * std::abs(o.profile.latency - s.prediction.cycles) /
                    o.profile.latency);
-    if (!screens[i].cached && o.profile.latency > 0.0) {
+    if (!s.cached && o.profile.latency > 0.0) {
       model::Observation obs;
       obs.device = dev.name;
       obs.algo = candidates[i].algo;
@@ -202,8 +190,8 @@ TuneResult autotune_gemm(const sim::DeviceSpec& dev, std::size_t m, std::size_t 
       obs.m = m;
       obs.n = n;
       obs.k = k;
-      obs.p = screens[i].plan.p;
-      obs.options = predict_options(screens[i].opt);
+      obs.p = s.plan.p;
+      obs.options = predict_options(s.opt);
       obs.simulated_cycles = o.profile.latency;
       predictor.observe(obs);
     }
@@ -227,10 +215,8 @@ TuneResult autotune_gemm(const sim::DeviceSpec& dev, std::size_t m, std::size_t 
 /// NumericsOnly fast path — the numerics execute exactly once.
 template <Scalar T>
 GemmResult<T> best_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
-                        const Matrix<T>& B, std::size_t blocks = 16384,
-                        int threads = 0) {
-  const auto tuned = autotune_gemm<T>(dev, A.rows(), B.cols(), A.cols(), blocks,
-                                      default_candidates(), threads);
+                        const Matrix<T>& B, std::size_t blocks = 16384) {
+  const auto tuned = autotune_gemm<T>(dev, A.rows(), B.cols(), A.cols(), blocks);
   GemmOptions opt;
   opt.warps = tuned.config.warps;
   opt.smem_ratio = tuned.config.smem_ratio;

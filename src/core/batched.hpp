@@ -7,9 +7,10 @@
 // memory, which is why §5.4's absolute numbers sit below the block-level
 // ones). Matrix shapes may vary within a batch.
 //
-// Two entry points:
-//  * kami_batched_gemm    — computes every product (tests, applications);
-//  * kami_batched_perf    — cost extrapolation for large batches: one block
+// Entry points:
+//  * kami_batched_gemm, kami_gemm_strided_batched — compute every product
+//    (tests, applications), simulating each distinct shape once;
+//  * kami_batched_perf — cost extrapolation for large batches: one block
 //    per distinct shape is simulated and the paper's launch setup added.
 #pragma once
 
@@ -24,7 +25,6 @@
 #include "core/kami.hpp"
 #include "core/numeric_path.hpp"
 #include "core/profile_cache.hpp"
-#include "exec/engine.hpp"
 
 namespace kami::core {
 
@@ -67,9 +67,46 @@ BatchedPerf kami_batched_perf(const sim::DeviceSpec& dev, std::size_t m, std::si
   return perf;
 }
 
-/// Full-value batched execution; shapes may vary per entry. The result holds
-/// no per-entry trace or phases, so GemmOptions::record_trace and
-/// record_regions do not change what runs.
+namespace detail {
+
+/// What every entry of one (m, n, k) shares: the cached block profile and
+/// the 3D layer split the numeric kernel replicates (1D/2D reduce in one
+/// chain, layers = 1).
+struct BatchShape {
+  sim::KernelProfile profile;
+  std::size_t layers = 1;
+};
+
+/// Batched drivers need a cycle profile, so they run only in a timed mode.
+inline void require_timed_mode(sim::ExecMode mode) {
+  KAMI_REQUIRE(sim::mode_times(mode),
+               std::string("batched GEMM needs a timed mode (full or timing_only), got ") +
+                   sim::exec_mode_name(mode));
+}
+
+/// One cached TimingOnly simulation (global I/O charged) plus the plan's 3D
+/// layer count. Throws the planner's PreconditionError for infeasible shapes.
+template <Scalar T>
+BatchShape batch_shape(const sim::DeviceSpec& dev, Algo algo, std::size_t m,
+                       std::size_t n, std::size_t k, const GemmOptions& opt) {
+  BatchShape shape;
+  shape.profile = timing_profile<T>(ProfileCache::global(), algo, dev, m, n, k, opt).profile;
+  if (algo == Algo::ThreeD)
+    shape.layers = static_cast<std::size_t>(
+        plan_gemm(algo, dev, num_traits<T>::precision, m, n, k, opt).grid);
+  return shape;
+}
+
+}  // namespace detail
+
+/// Batched execution; shapes may vary per entry. Each distinct shape is
+/// simulated once, in TimingOnly through the profile cache, and Full then
+/// runs every entry's values through the numeric kernel. C, seconds and
+/// tflops are bit-identical to a per-entry Full loop; TimingOnly returns
+/// zero-filled C with the same seconds and tflops. NumericsOnly has no
+/// profile to time and is refused. The result holds no per-entry trace or
+/// phases, so GemmOptions::record_trace and record_regions do not change
+/// what runs.
 template <Scalar T>
 BatchedResult<T> kami_batched_gemm(const sim::DeviceSpec& dev,
                                    std::span<const Matrix<T>> As,
@@ -81,92 +118,48 @@ BatchedResult<T> kami_batched_gemm(const sim::DeviceSpec& dev,
   // An empty batch is a well-defined no-op (no products, only launch setup),
   // identically in every execution mode — not an error.
   if (As.empty()) return BatchedResult<T>{{}, kKamiBatchSetupSeconds, 0.0};
+  detail::require_timed_mode(opt.mode);
   opt.charge_global_io = true;
 
-  // Entries are independent: fan out across the execution engine
-  // (GemmOptions::threads / KAMI_THREADS; 1 == the historical serial loop).
-  // Results land in pre-sized slots indexed by entry, so the output is
-  // bit-identical for every worker count.
-  const exec::ExecutionEngine engine(opt.threads);
-
-  BatchedResult<T> out;
-  // Blocks are independent; identical shapes share one simulated profile.
-  std::map<std::array<std::size_t, 3>, sim::KernelProfile> shape_profiles;
-  double total_flops = 0.0;
-
-  if (opt.mode == sim::ExecMode::Full) {
-    // Fast path: one TimingOnly simulation per distinct shape (served by
-    // the profile cache across calls), then every entry's values run the
-    // NumericsOnly path. Results and profiles are bit-identical to the
-    // per-entry Full loop (tested).
-    //
-    // Profile phase: distinct shapes in first-appearance order, so an
-    // infeasible shape surfaces the same exception the per-entry loop
-    // would have hit first.
-    std::vector<std::array<std::size_t, 3>> distinct;
-    for (std::size_t i = 0; i < As.size(); ++i) {
-      const std::array<std::size_t, 3> key{As[i].rows(), Bs[i].cols(), As[i].cols()};
-      if (shape_profiles.emplace(key, sim::KernelProfile{}).second)
-        distinct.push_back(key);
-    }
-    const auto profiles = engine.parallel_map<sim::KernelProfile>(
-        distinct.size(), [&](std::size_t j) {
-          const auto& key = distinct[j];
-          return timing_profile<T>(ProfileCache::global(), algo, dev, key[0], key[1],
-                                   key[2], opt)
-              .profile;
-        });
-    // The plan is also per-shape: cache the 3D layer split (1D/2D reduce in
-    // one chain, layers = 1) so the numeric phase below never re-enters the
-    // planner — per-entry planning was ~40% of small-shape batch time.
-    std::map<std::array<std::size_t, 3>, std::size_t> shape_layers;
-    for (std::size_t j = 0; j < distinct.size(); ++j) {
-      shape_profiles[distinct[j]] = profiles[j];
-      std::size_t layers = 1;
-      if (algo == Algo::ThreeD) {
-        const auto& key = distinct[j];
-        layers = static_cast<std::size_t>(
-            plan_gemm(algo, dev, num_traits<T>::precision, key[0], key[1], key[2], opt)
-                .grid);
-      }
-      shape_layers[distinct[j]] = layers;
-    }
-
-    // Numerics phase: every entry's values through the NumericsOnly kernel,
-    // straight into the output slot (no GemmResult plumbing, no planner).
-    out.C = engine.parallel_map<Matrix<T>>(As.size(), [&](std::size_t i) {
-      KAMI_REQUIRE(Bs[i].rows() == As[i].cols(), "inner dimensions must agree");
-      const std::size_t m = As[i].rows(), n = Bs[i].cols(), k = As[i].cols();
-      Matrix<T> C(m, n);
-      numeric_gemm_into(As[i].data(), Bs[i].data(), C.data(), m, n, k,
-                        shape_layers.at({m, n, k}));
-      return C;
-    });
-    for (std::size_t i = 0; i < As.size(); ++i)
-      total_flops +=
-          shape_profiles[{As[i].rows(), Bs[i].cols(), As[i].cols()}].useful_flops;
-  } else {
-    auto results = engine.parallel_map<GemmResult<T>>(As.size(), [&](std::size_t i) {
-      return gemm(algo, dev, As[i], Bs[i], opt);
-    });
-    out.C.reserve(As.size());
-    for (std::size_t i = 0; i < As.size(); ++i) {
-      shape_profiles[{As[i].rows(), Bs[i].cols(), As[i].cols()}] = results[i].profile;
-      total_flops += results[i].profile.useful_flops;
-      out.C.push_back(std::move(results[i].C));
-    }
+  // Every entry's shape is checked before anything is simulated, so the
+  // first error is the same in every mode: the lowest malformed entry, then
+  // the first infeasible shape in first-appearance order.
+  for (std::size_t i = 0; i < As.size(); ++i)
+    KAMI_REQUIRE(Bs[i].rows() == As[i].cols(),
+                 "inner dimensions must agree at batch entry " + std::to_string(i) +
+                     ": A is " + std::to_string(As[i].rows()) + "x" +
+                     std::to_string(As[i].cols()) + " but B is " +
+                     std::to_string(Bs[i].rows()) + "x" + std::to_string(Bs[i].cols()));
+  using ShapeKey = std::array<std::size_t, 3>;
+  const auto key_of = [&](std::size_t i) {
+    return ShapeKey{As[i].rows(), Bs[i].cols(), As[i].cols()};
+  };
+  std::map<ShapeKey, detail::BatchShape> shapes;
+  for (std::size_t i = 0; i < As.size(); ++i) {
+    const ShapeKey key = key_of(i);
+    if (!shapes.contains(key))
+      shapes.emplace(key, detail::batch_shape<T>(dev, algo, key[0], key[1], key[2], opt));
   }
 
   // Completion time: blocks spread round-robin over SMs (the same wave model
   // as kami_batched_perf — for `batch` identical shapes the most-loaded SM
   // carries ceil(batch / num_sms) blocks, i.e. one interval per wave). The
   // batch can never finish before the longest single block's steady interval,
-  // so small batches no longer divide one block's time across idle SMs.
+  // so small batches do not divide one block's time across idle SMs.
+  BatchedResult<T> out;
+  out.C.reserve(As.size());
   std::vector<double> sm_load(static_cast<std::size_t>(dev.num_sms), 0.0);
   double completion = 0.0;
+  double total_flops = 0.0;
   for (std::size_t i = 0; i < As.size(); ++i) {
-    const auto& prof = shape_profiles[{As[i].rows(), Bs[i].cols(), As[i].cols()}];
-    const double interval = sim::steady_interval_cycles(dev, prof);
+    const auto [m, n, k] = key_of(i);
+    const detail::BatchShape& shape = shapes.at({m, n, k});
+    Matrix<T> C(m, n);
+    if (sim::mode_computes(opt.mode))
+      numeric_gemm_into(As[i].data(), Bs[i].data(), C.data(), m, n, k, shape.layers);
+    out.C.push_back(std::move(C));
+    total_flops += shape.profile.useful_flops;
+    const double interval = sim::steady_interval_cycles(dev, shape.profile);
     double& load = sm_load[i % sm_load.size()];
     load += interval;
     completion = std::max({completion, interval, load});
@@ -181,12 +174,16 @@ BatchedResult<T> kami_batched_gemm(const sim::DeviceSpec& dev,
 /// tall matrices (batch*m x k and batch*k x n); returns the stacked
 /// batch*m x n product. Interface parity with cublasGemmStridedBatched
 /// (§5.4: "KAMI's batched interface is consistent with cuBLAS and MAGMA").
+/// Every block shares one shape, so one cached simulation covers the batch
+/// and the numeric kernel runs on the stacked storage in place: row-major
+/// contiguous blocks need no per-block copies. Modes as kami_batched_gemm.
 template <Scalar T>
 Matrix<T> kami_gemm_strided_batched(const sim::DeviceSpec& dev, const Matrix<T>& Astack,
                                     const Matrix<T>& Bstack, std::size_t batch,
                                     Algo algo = Algo::OneD, GemmOptions opt = {}) {
   KAMI_REQUIRE(batch >= 1, "strided batch must be non-empty, got batch=0 (stacked "
                            "operands cannot define a block shape)");
+  detail::require_timed_mode(opt.mode);
   KAMI_REQUIRE(Astack.rows() % batch == 0 && Bstack.rows() % batch == 0,
                "stacked operand heights must be multiples of the batch size: A is " +
                    std::to_string(Astack.rows()) + " rows, B is " +
@@ -199,47 +196,14 @@ Matrix<T> kami_gemm_strided_batched(const sim::DeviceSpec& dev, const Matrix<T>&
                "inner dimensions must agree: A blocks are " + std::to_string(m) + "x" +
                    std::to_string(k) + " but B blocks are " +
                    std::to_string(Bstack.rows() / batch) + "x" + std::to_string(n));
-
-  if (opt.mode == sim::ExecMode::Full) {
-    // Zero-copy fast path: every block shares one (m, n, k), so one cached
-    // TimingOnly simulation establishes feasibility (surfacing the same
-    // planner exception the staged path would), and the numeric kernel runs
-    // directly on the stacked storage — row-major contiguous blocks mean no
-    // stack/unstack copies and no per-block Matrix allocations at all.
-    GemmOptions probe = opt;
-    probe.charge_global_io = true;
-    timing_profile<T>(ProfileCache::global(), algo, dev, m, n, k, probe);
-    std::size_t layers = 1;
-    if (algo == Algo::ThreeD)
-      layers = static_cast<std::size_t>(
-          plan_gemm(algo, dev, num_traits<T>::precision, m, n, k, probe).grid);
-
-    Matrix<T> Cstack(batch * m, n);
-    const exec::ExecutionEngine engine(opt.threads);
-    engine.parallel_for(batch, [&](std::size_t b) {
-      numeric_gemm_into(Astack.data() + b * m * k, Bstack.data() + b * k * n,
-                        Cstack.data() + b * m * n, m, n, k, layers);
-    });
-    return Cstack;
-  }
-
-  // Matrices are row-major and contiguous, so each stacked block is one
-  // contiguous range: stack/unstack are single bulk copies per matrix.
-  std::vector<Matrix<T>> As, Bs;
-  As.reserve(batch);
-  Bs.reserve(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    Matrix<T> a(m, k), bb(k, n);
-    std::copy_n(Astack.data() + b * m * k, m * k, a.data());
-    std::copy_n(Bstack.data() + b * k * n, k * n, bb.data());
-    As.push_back(std::move(a));
-    Bs.push_back(std::move(bb));
-  }
-  const auto result = kami_batched_gemm<T>(dev, As, Bs, algo, opt);
+  opt.charge_global_io = true;
+  const detail::BatchShape shape = detail::batch_shape<T>(dev, algo, m, n, k, opt);
 
   Matrix<T> Cstack(batch * m, n);
-  for (std::size_t b = 0; b < batch; ++b)
-    std::copy_n(result.C[b].data(), m * n, Cstack.data() + b * m * n);
+  if (sim::mode_computes(opt.mode))
+    for (std::size_t b = 0; b < batch; ++b)
+      numeric_gemm_into(Astack.data() + b * m * k, Bstack.data() + b * k * n,
+                        Cstack.data() + b * m * n, m, n, k, shape.layers);
   return Cstack;
 }
 

@@ -51,14 +51,6 @@ struct GemmOptions {
   /// (core/phase_scope.hpp) into GemmResult::regions.
   bool record_regions = false;
 
-  /// Worker threads for fan-out drivers (batched entries, autotune
-  /// candidates) run through exec::ExecutionEngine. 0 = defer to the
-  /// KAMI_THREADS environment variable (default 1 == serial); a single
-  /// kernel simulation is always single-threaded regardless. Excluded from
-  /// the ProfileKey like deadline_cycles: the worker count never changes
-  /// what is computed, only how the independent pieces are scheduled.
-  int threads = 0;
-
   /// Simulated-cycle budget for the whole kernel (0 = unlimited). The op
   /// that pushes any warp's clock past the budget throws
   /// sim::DeadlineExceeded at a deterministic point — the serving layer's

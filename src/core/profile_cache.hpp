@@ -127,6 +127,9 @@ class ProfileCache {
 /// cannot affect timing). Throws PreconditionError for infeasible
 /// configurations, exactly as the Full kernel would.
 ///
+/// A positive deadline_cycles is honoured on hits too: a request whose cached
+/// latency exceeds it aborts exactly as on a cold cache.
+///
 /// Exception safety: the simulation runs to completion *before* insert(), so
 /// a run that throws mid-execution (planner rejection, injected fault,
 /// deadline abort) leaves the cache untouched — there is no partial or
@@ -145,7 +148,12 @@ CachedProfile timing_profile(ProfileCache& cache, Algo algo, const sim::DeviceSp
   const Plan plan = plan_gemm(algo, dev, num_traits<T>::precision, m, n, k, opt);
   const ProfileKey key =
       ProfileKey::make(algo, dev, num_traits<T>::precision, m, n, k, opt, plan);
-  if (std::optional<CachedProfile> hit = cache.find(key)) return *hit;
+  // deadline_cycles is not in the key. latency is the largest final warp
+  // clock, so a hit past a positive deadline is a run that would have
+  // aborted: fall through and let the simulation throw.
+  if (std::optional<CachedProfile> hit = cache.find(key);
+      hit && !(opt.deadline_cycles > 0.0 && hit->profile.latency > opt.deadline_cycles))
+    return *hit;
   const Matrix<T> A(m, k), B(k, n);
   const GemmResult<T> r = kami::gemm(algo, dev, A, B, opt);
   const CachedProfile entry{r.profile, r.warps, r.smem_ratio};

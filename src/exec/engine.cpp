@@ -3,34 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
 
 namespace kami::exec {
-
-int default_workers() {
-  static const int cached = [] {
-    const char* env = std::getenv("KAMI_THREADS");
-    if (env == nullptr || *env == '\0') return 1;
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0') return 1;
-    return static_cast<int>(std::clamp<long>(v, 1, kMaxWorkers));
-  }();
-  return cached;
-}
-
-int resolve_workers(int requested) {
-  if (requested <= 0) return default_workers();
-  return std::min(requested, kMaxWorkers);
-}
-
-const ExecutionEngine& ExecutionEngine::global() {
-  static ExecutionEngine engine(0);
-  return engine;
-}
 
 namespace {
 

@@ -1,16 +1,17 @@
-// ExecutionEngine: a work-stealing thread-pool for the repo's fan-out
-// workloads (batched GEMM entries, autotune candidate sweeps, chaos campaign
-// points, differential fuzz points, async serving requests).
+// ExecutionEngine: a work-stealing thread-pool for the repo's replication
+// fan-outs — chaos campaign points, differential and model fuzz points —
+// where one task is a whole, independent point. Library calls (a GEMM, a
+// batch, an autotune sweep) never run on it: they are serial.
 //
 // Design constraints, in order:
 //   * deterministic — results land in pre-sized slots indexed by input
 //     order, per-task metric shards are merged back in task-index order, and
 //     the lowest-index exception is the one that propagates, so output is
-//     bit-identical to the serial loop for every worker count >= 2 and for
-//     every exec mode (see DESIGN §10 for the exact contract, including the
-//     one documented last-ulp caveat for fractional counters vs workers=1);
+//     bit-identical to the serial loop for every worker count >= 2 (see
+//     DESIGN §10 for the exact contract, including the one documented
+//     last-ulp caveat for fractional counters vs workers=1);
 //   * workers == 1 IS the serial path — no shards, no snapshotting, no pool,
-//     byte-for-byte the pre-engine control flow;
+//     byte-for-byte the plain loop;
 //   * safe to nest — a task may call parallel_for again; the nested caller
 //     always drains its own stripes, so progress never depends on a free
 //     pool thread.
@@ -38,28 +39,23 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace_span.hpp"
+#include "util/require.hpp"
 #include "verify/invariants.hpp"
 
 namespace kami::exec {
 
 /// Hard cap on workers. Oversubscription past the core count is allowed
-/// (and benchmarked), but runaway KAMI_THREADS values are clamped here.
+/// (and benchmarked), but runaway counts are clamped here.
 inline constexpr int kMaxWorkers = 64;
-
-/// Worker count from the KAMI_THREADS environment variable, clamped to
-/// [1, kMaxWorkers]; 1 (serial) when unset or unparsable. Read once and
-/// cached for the process lifetime.
-int default_workers();
-
-/// Map a caller-requested worker count to an effective one: <= 0 defers to
-/// default_workers() (the env knob), anything else clamps to kMaxWorkers.
-int resolve_workers(int requested);
 
 class ExecutionEngine {
  public:
-  /// `workers` <= 0 defers to KAMI_THREADS (default 1 == serial).
-  explicit ExecutionEngine(int workers = 0) : workers_(resolve_workers(workers)) {}
+  /// `workers` >= 1, clamped to kMaxWorkers; 1 is the serial loop.
+  explicit ExecutionEngine(int workers) : workers_(std::min(workers, kMaxWorkers)) {
+    KAMI_REQUIRE(workers >= 1,
+                 "an execution engine needs at least one worker, got " +
+                     std::to_string(workers));
+  }
 
   int workers() const noexcept { return workers_; }
 
@@ -70,63 +66,20 @@ class ExecutionEngine {
   /// indices throw, the shards of tasks past the lowest failing index are
   /// discarded and that lowest-index exception is rethrown — exactly the
   /// state a serial loop would have left behind.
-  ///
-  /// Span propagation: when the submitting thread has an active tracer
-  /// (obs::current_tracer()), every task gets its own shard TraceBuilder
-  /// rooted at a "task[i]" span that starts at the parent's clock; shards
-  /// are grafted back under the parent's innermost open span in task-index
-  /// order and the parent clock advances once, by the maximum shard clock —
-  /// tasks are concurrent, so the region costs its critical path. The
-  /// serial path builds the identical shard structure, so a traced region
-  /// is bit-identical at every worker count. On an exception, shards up to
-  /// and including the lowest failing index are grafted (mirroring the
-  /// metric-shard contract) before the rethrow.
   template <class Fn>
   void parallel_for(std::size_t n, Fn&& fn) const {
-    if (n == 0) return;
-    obs::TraceBuilder* tracer = obs::current_tracer();
-    if (workers_ <= 1 || n == 1) {
-      if (tracer == nullptr) {
-        for (std::size_t i = 0; i < n; ++i) fn(i);
-        return;
-      }
-      const double start = tracer->clock();
-      double max_clock = start;
-      for (std::size_t i = 0; i < n; ++i) {
-        obs::TraceBuilder shard("shard", "task[" + std::to_string(i) + "]", start);
-        std::exception_ptr error;
-        {
-          obs::ScopedTracer scoped(&shard);
-          try {
-            fn(i);
-          } catch (...) {
-            error = std::current_exception();
-          }
-        }
-        max_clock = std::max(max_clock, shard.clock());
-        tracer->graft(shard.finish());
-        if (error) {
-          tracer->advance(max_clock - start);
-          std::rethrow_exception(error);
-        }
-      }
-      tracer->advance(max_clock - start);
+    if (workers_ <= 1 || n <= 1) {
+      for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
     }
     obs::MetricRegistry& parent = obs::MetricRegistry::current();
     const verify::FaultHooks hooks = verify::fault_hooks();
     // deque, not vector: MetricRegistry holds a mutex and is immovable.
     std::deque<obs::MetricRegistry> shards(n);
-    std::deque<obs::TraceBuilder> trace_shards;
-    const double start = tracer != nullptr ? tracer->clock() : 0.0;
-    if (tracer != nullptr)
-      for (std::size_t i = 0; i < n; ++i)
-        trace_shards.emplace_back("shard", "task[" + std::to_string(i) + "]", start);
     std::vector<std::exception_ptr> errors(n);
     const auto task = [&](std::size_t i) {
       verify::ScopedFault fault(hooks);
       obs::ScopedMetricShard shard(shards[i]);
-      obs::ScopedTracer scoped(tracer != nullptr ? &trace_shards[i] : nullptr);
       try {
         fn(i);
       } catch (...) {
@@ -134,19 +87,10 @@ class ExecutionEngine {
       }
     };
     run_region(n, task);
-    double max_clock = start;
     for (std::size_t i = 0; i < n; ++i) {
       parent.merge_from(shards[i]);
-      if (tracer != nullptr) {
-        max_clock = std::max(max_clock, trace_shards[i].clock());
-        tracer->graft(trace_shards[i].finish());
-      }
-      if (errors[i]) {
-        if (tracer != nullptr) tracer->advance(max_clock - start);
-        std::rethrow_exception(errors[i]);
-      }
+      if (errors[i]) std::rethrow_exception(errors[i]);
     }
-    if (tracer != nullptr) tracer->advance(max_clock - start);
   }
 
   /// parallel_for that collects fn(i) into a pre-sized vector slot i.
@@ -157,9 +101,6 @@ class ExecutionEngine {
     parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
     return out;
   }
-
-  /// Engine configured purely by KAMI_THREADS.
-  static const ExecutionEngine& global();
 
  private:
   /// Scheduling core (engine.cpp): stripes indices, enlists pool threads,

@@ -258,19 +258,4 @@ RequestTrace TraceBuilder::finish() {
   return std::move(trace_);
 }
 
-namespace {
-TraceBuilder*& tracer_slot() {
-  thread_local TraceBuilder* slot = nullptr;
-  return slot;
-}
-}  // namespace
-
-TraceBuilder* current_tracer() noexcept { return tracer_slot(); }
-
-ScopedTracer::ScopedTracer(TraceBuilder* tracer) : prev_(tracer_slot()) {
-  tracer_slot() = tracer;
-}
-
-ScopedTracer::~ScopedTracer() { tracer_slot() = prev_; }
-
 }  // namespace kami::obs

@@ -12,12 +12,9 @@
 // replayable.
 //
 // TraceBuilder is the write side: a stack of open spans plus the logical
-// clock. It is deliberately single-threaded (one request is built by one
-// thread at a time); cross-thread fan-out goes through the execution
-// engine, which snapshots the submitting thread's builder via
-// current_tracer(), gives each task a shard builder rooted at a "task[i]"
-// span, and grafts the shards back in task-index order — the same
-// determinism contract metric shards already follow (DESIGN §10/§11).
+// clock. It is deliberately single-threaded: one request is built by one
+// thread at a time. graft() appends a finished sub-trace (for instance a
+// kernel's phase spans, GemmResult::regions) under an open span.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +90,7 @@ class RequestTrace {
 void dump_chrome_traces(std::ostream& os, const std::vector<RequestTrace>& traces);
 
 /// Write side of a RequestTrace: an open-span stack plus the logical cycle
-/// clock. Single-threaded by design; see the header comment for how the
-/// execution engine fans a builder out across workers.
+/// clock. Single-threaded by design.
 class TraceBuilder {
  public:
   /// Starts with one open root span named `root_name` at `start_cycles`.
@@ -131,8 +127,7 @@ class TraceBuilder {
 
   /// Append a finished trace's spans under the innermost open span,
   /// re-basing ids and parents (the child's root becomes a child here).
-  /// The clock is not advanced — concurrent shards advance the parent by
-  /// the max shard clock once, at the call site.
+  /// The clock is not advanced; the caller moves it to cover the child.
   void graft(RequestTrace child);
 
   /// Close every open span (root included) at the current clock and move
@@ -144,23 +139,6 @@ class TraceBuilder {
   std::vector<std::uint32_t> stack_;  ///< open span ids, root first
   double clock_ = 0.0;
   bool finished_ = false;
-};
-
-/// The builder the current thread's instrumented code should append spans
-/// to, or nullptr when no trace is being built. The execution engine
-/// snapshots this to propagate span context into its workers.
-TraceBuilder* current_tracer() noexcept;
-
-/// RAII install of a builder (or nullptr) as this thread's current tracer.
-class ScopedTracer {
- public:
-  explicit ScopedTracer(TraceBuilder* tracer);
-  ~ScopedTracer();
-  ScopedTracer(const ScopedTracer&) = delete;
-  ScopedTracer& operator=(const ScopedTracer&) = delete;
-
- private:
-  TraceBuilder* prev_;
 };
 
 }  // namespace kami::obs

@@ -139,11 +139,11 @@ struct ChaosReport {
 
 /// Replication-parallel campaign: points seeded base_seed, base_seed+1, ...
 /// each against a fresh fleet, fanned out across the execution engine
-/// (`workers` 0 = defer to KAMI_THREADS, 1 = serial). When `flight`/`slo`
-/// are set, each point serves through a fresh per-point recorder/tracker
-/// (request ids prefixed "seed<n>") whose contents are folded into
-/// `flight`/`slo` serially in seed order. The report, the dump and the SLO
-/// export are bit-identical at every worker count.
+/// (`workers` >= 1; 1 = serial). When `flight`/`slo` are set, each point
+/// serves through a fresh per-point recorder/tracker (request ids prefixed
+/// "seed<n>") whose contents are folded into `flight`/`slo` serially in seed
+/// order. The report, the dump and the SLO export are bit-identical at every
+/// worker count.
 ChaosReport run_campaign(std::uint64_t base_seed, std::size_t points, int workers = 1,
                          const std::shared_ptr<obs::FlightRecorder>& flight = nullptr,
                          const std::shared_ptr<SloTracker>& slo = nullptr);

@@ -76,9 +76,9 @@ struct FuzzReport {
 };
 
 /// Check iterations seeded base_seed, base_seed+1, ... (one point each).
-/// `workers` fans the points out across the execution engine (0 = defer to
-/// KAMI_THREADS, 1 = serial); the report — counts, failure order, details —
-/// is bit-identical for every worker count.
+/// `workers` (>= 1; 1 = serial) fans the points out across the execution
+/// engine; the report — counts, failure order, details — is bit-identical
+/// for every worker count.
 FuzzReport run_fuzz(std::uint64_t base_seed, std::size_t iters, int workers = 1);
 
 /// Self-test of the invariant layer: injects cycle-accounting faults through

@@ -121,14 +121,14 @@ TEST(Autotune, WarmPredictorPrunesAndAgreesWithExhaustive) {
   TunePolicy exhaustive;
   exhaustive.prescreen = false;
   const auto full = autotune_gemm<fp16_t>(dev(), 96, 96, 96, 16384,
-                                          default_candidates(), 0, exhaustive);
+                                          default_candidates(), exhaustive);
   EXPECT_EQ(full.pruned, 0);
 
   ProfileCache::global().clear();  // force the pruned run to predict, not hit
   TunePolicy tight;
   tight.top_k = 2;
   const auto pruned = autotune_gemm<fp16_t>(dev(), 96, 96, 96, 16384,
-                                            default_candidates(), 0, tight);
+                                            default_candidates(), tight);
   EXPECT_GT(pruned.pruned, 0);
   EXPECT_LT(pruned.evaluated, full.evaluated);
   // The analytic ranking must not cost throughput: same winner quality.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "baselines/reference.hpp"
@@ -45,6 +46,67 @@ TEST(Batched, MismatchedBatchListsRejected) {
   std::vector<Matrix<fp16_t>> As{random_matrix<fp16_t>(16, 16, rng)};
   std::vector<Matrix<fp16_t>> Bs;
   EXPECT_THROW((void)kami_batched_gemm<fp16_t>(dev(), As, Bs), PreconditionError);
+}
+
+// Every entry's inner dimension is checked before anything is simulated, so
+// Full and TimingOnly report the same first error: the malformed entry 1,
+// not the infeasible order-17 entry 3 behind it.
+TEST(Batched, InnerDimensionCheckNamesTheEntryInEveryMode) {
+  Rng rng(24);
+  std::vector<Matrix<fp16_t>> As, Bs;
+  const std::size_t a_shapes[][2] = {{32, 32}, {32, 32}, {32, 32}, {17, 17}};
+  const std::size_t b_shapes[][2] = {{32, 32}, {16, 32}, {32, 32}, {17, 17}};
+  for (std::size_t i = 0; i < 4; ++i) {
+    As.push_back(random_matrix<fp16_t>(a_shapes[i][0], a_shapes[i][1], rng));
+    Bs.push_back(random_matrix<fp16_t>(b_shapes[i][0], b_shapes[i][1], rng));
+  }
+  const auto first_error = [&](sim::ExecMode mode) {
+    GemmOptions opt;
+    opt.mode = mode;
+    try {
+      (void)kami_batched_gemm<fp16_t>(dev(), As, Bs, Algo::OneD, opt);
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no exception)");
+  };
+  const std::string full = first_error(sim::ExecMode::Full);
+  EXPECT_NE(full.find("batch entry 1: A is 32x32 but B is 16x32"), std::string::npos) << full;
+  EXPECT_EQ(first_error(sim::ExecMode::TimingOnly), full);
+
+  // Without the malformed entry, the order-17 infeasibility comes first, and
+  // again both modes report it identically.
+  As.erase(As.begin() + 1);
+  Bs.erase(Bs.begin() + 1);
+  const std::string infeasible = first_error(sim::ExecMode::Full);
+  EXPECT_NE(infeasible, "(no exception)");
+  EXPECT_EQ(infeasible.find("batch entry"), std::string::npos) << infeasible;
+  EXPECT_EQ(first_error(sim::ExecMode::TimingOnly), infeasible);
+}
+
+// NumericsOnly produces no cycle profile to time a batch with, so both entry
+// points refuse it up front, by name (an empty batch stays a no-op).
+TEST(Batched, NumericsOnlyIsRefusedNamingTheMode) {
+  Rng rng(25);
+  const std::vector<Matrix<fp16_t>> As{random_matrix<fp16_t>(32, 32, rng)};
+  const std::vector<Matrix<fp16_t>> Bs{random_matrix<fp16_t>(32, 32, rng)};
+  GemmOptions opt;
+  opt.mode = sim::ExecMode::NumericsOnly;
+  const auto message = [](const auto& call) {
+    try {
+      call();
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no exception)");
+  };
+  const std::string batched =
+      message([&] { (void)kami_batched_gemm<fp16_t>(dev(), As, Bs, Algo::OneD, opt); });
+  EXPECT_NE(batched.find("numerics_only"), std::string::npos) << batched;
+  const std::string strided = message([&] {
+    (void)kami_gemm_strided_batched<fp16_t>(dev(), As[0], Bs[0], 1, Algo::OneD, opt);
+  });
+  EXPECT_EQ(strided, batched);
 }
 
 TEST(Batched, PerfScalesWithBatchSize) {

@@ -11,16 +11,21 @@
 // charged global I/O, and the block-level baselines.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "baselines/cublasdx_like.hpp"
 #include "baselines/cutlass_like.hpp"
+#include "baselines/reference.hpp"
 #include "baselines/syclbench_like.hpp"
 #include "core/autotune.hpp"
 #include "core/batched.hpp"
 #include "core/kami.hpp"
+#include "core/profile_cache.hpp"
 
 namespace kami {
 namespace {
@@ -278,33 +283,76 @@ TEST(ExecModes, SyclbenchBaseline) {
 // Consumers of the fast paths
 // ---------------------------------------------------------------------------
 
-// The batched fast path (TimingOnly per distinct shape + NumericsOnly per
-// entry) must be indistinguishable from the legacy per-entry Full loop, and
-// the recording options (which have nowhere to record into) change nothing.
-TEST(ExecModes, BatchedFastPathMatchesPerEntryFull) {
-  Rng rng(23);
-  std::vector<Matrix<fp16_t>> As, Bs;
-  const std::size_t shapes[][3] = {{16, 16, 16}, {32, 32, 32}, {16, 16, 16},
-                                   {32, 16, 16}, {32, 32, 32}, {16, 16, 16}};
-  for (const auto& s : shapes) {
-    As.push_back(random_matrix<fp16_t>(s[0], s[2], rng));
-    Bs.push_back(random_matrix<fp16_t>(s[2], s[1], rng));
-  }
-  const auto batched = core::kami_batched_gemm<fp16_t>(sim::gh200(), As, Bs);
-  ASSERT_EQ(batched.C.size(), As.size());
+// Batched GEMM has one path: each distinct shape is simulated once
+// (TimingOnly, through the profile cache) and Full runs every entry's values
+// through the numeric kernel. Full C must equal the per-entry Full loop and
+// the reference bit for bit; TimingOnly (simulating on a cold cache) must time
+// the batch identically and leave C zero-filled. Returns the Full result.
+template <Scalar T>
+core::BatchedResult<T> expect_batched_matches_per_entry(const std::vector<Matrix<T>>& As,
+                                                        const std::vector<Matrix<T>>& Bs,
+                                                        Algo algo) {
+  const auto batched = core::kami_batched_gemm<T>(sim::gh200(), As, Bs, algo);
+  EXPECT_EQ(batched.C.size(), As.size());
   GemmOptions per_entry;
   per_entry.charge_global_io = true;
-  for (std::size_t i = 0; i < As.size(); ++i) {
-    const auto r = gemm(Algo::OneD, sim::gh200(), As[i], Bs[i], per_entry);
-    EXPECT_TRUE(bits_equal(batched.C[i], r.C)) << "entry " << i;
+  for (std::size_t i = 0; i < batched.C.size(); ++i) {
+    EXPECT_TRUE(bits_equal(batched.C[i], gemm(algo, sim::gh200(), As[i], Bs[i], per_entry).C))
+        << "entry " << i;
+    EXPECT_TRUE(bits_equal(batched.C[i], baselines::reference_gemm(As[i], Bs[i])))
+        << "entry " << i;
   }
   EXPECT_GT(batched.seconds, 0.0);
   EXPECT_GT(batched.tflops, 0.0);
 
+  core::ProfileCache::global().clear();
+  GemmOptions timing;
+  timing.mode = sim::ExecMode::TimingOnly;
+  const auto timed = core::kami_batched_gemm<T>(sim::gh200(), As, Bs, algo, timing);
+  EXPECT_EQ(timed.seconds, batched.seconds);
+  EXPECT_EQ(timed.tflops, batched.tflops);
+  EXPECT_EQ(timed.C.size(), As.size());
+  for (std::size_t i = 0; i < timed.C.size(); ++i)
+    EXPECT_TRUE(bits_equal(timed.C[i], Matrix<T>(As[i].rows(), Bs[i].cols())))
+        << "entry " << i;
+  return batched;
+}
+
+template <Scalar T>
+std::pair<std::vector<Matrix<T>>, std::vector<Matrix<T>>> batch_of(
+    std::span<const std::array<std::size_t, 3>> shapes, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Matrix<T>> As, Bs;
+  for (const auto& [m, n, k] : shapes) {
+    As.push_back(random_matrix<T>(m, k, rng));
+    Bs.push_back(random_matrix<T>(k, n, rng));
+  }
+  return {std::move(As), std::move(Bs)};
+}
+
+// The recording options (which have nowhere to record into) change nothing,
+// and the strided entry point runs the same path on stacked operands.
+TEST(ExecModes, BatchedFastPathMatchesPerEntryFull) {
+  const std::array<std::size_t, 3> fp16_shapes[] = {
+      {16, 16, 16}, {32, 32, 32}, {16, 16, 16}, {32, 16, 16}, {32, 32, 32}, {16, 16, 16}};
+  const auto [As, Bs] = batch_of<fp16_t>(fp16_shapes, 23);
+  const auto batched = expect_batched_matches_per_entry(As, Bs, Algo::OneD);
+
+  const std::array<std::size_t, 3> fp64_shapes[] = {
+      {32, 32, 32}, {64, 64, 64}, {32, 32, 32}, {48, 16, 64}, {16, 48, 32}, {64, 32, 128}};
+  const auto [Ad, Bd] = batch_of<double>(fp64_shapes, 11);
+  (void)expect_batched_matches_per_entry(Ad, Bd, Algo::TwoD);
+
+  Rng rng(24);
   const auto Astack = random_matrix<fp16_t>(3 * 16, 32, rng);
   const auto Bstack = random_matrix<fp16_t>(3 * 32, 16, rng);
   const auto strided =
       core::kami_gemm_strided_batched<fp16_t>(sim::gh200(), Astack, Bstack, 3);
+  GemmOptions timing;
+  timing.mode = sim::ExecMode::TimingOnly;
+  EXPECT_TRUE(bits_equal(core::kami_gemm_strided_batched<fp16_t>(sim::gh200(), Astack,
+                                                                 Bstack, 3, Algo::OneD, timing),
+                         Matrix<fp16_t>(3 * 16, 16)));
   for (const auto& [trace, regions] : {std::pair{true, false}, std::pair{false, true}}) {
     GemmOptions rec;
     rec.record_trace = trace;

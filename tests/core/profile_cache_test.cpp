@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "core/profile_cache.hpp"
 #include "obs/metrics.hpp"
@@ -347,6 +348,38 @@ TEST(ProfileCache, DeadlineAbortLeavesCacheUntouched) {
   (void)timing_profile<fp16_t>(cache, Algo::OneD, sim::gh200(), 64, 64, 64);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(counter("profile_cache.hits"), 1.0);
+}
+
+// deadline_cycles is not part of the key, so a warm entry must still honour
+// it: a hit past a positive deadline aborts with the cold cache's message,
+// and a hit within it is served from the entry.
+TEST(ProfileCache, DeadlineHoldsOnACacheHit) {
+  obs::ScopedMetricsReset reset;
+  ProfileCache cache(16);
+  const auto run = [&](double deadline) {
+    GemmOptions opt;
+    opt.deadline_cycles = deadline;
+    return timing_profile<fp16_t>(cache, Algo::OneD, sim::gh200(), 32, 32, 32, opt);
+  };
+  const auto abort_message = [&] {
+    try {
+      (void)run(10.0);
+    } catch (const sim::DeadlineExceeded& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no exception)");
+  };
+
+  const std::string cold = abort_message();
+  ASSERT_NE(cold, "(no exception)");
+  const double latency = run(0.0).profile.latency;  // warm-up without a deadline
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_EQ(abort_message(), cold);
+
+  const double hits = counter("profile_cache.hits");
+  EXPECT_EQ(run(latency).profile.latency, latency);
+  EXPECT_EQ(counter("profile_cache.hits"), hits + 1.0);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

@@ -26,13 +26,13 @@ namespace {
 using exec::BoundedTaskQueue;
 using exec::ExecutionEngine;
 
+// The worker count is explicit: clamped to kMaxWorkers, and a count below 1
+// is rejected.
 TEST(ExecEngine, ResolveWorkersClampsAndDefers) {
-  EXPECT_EQ(exec::resolve_workers(5), 5);
-  EXPECT_EQ(exec::resolve_workers(exec::kMaxWorkers + 100), exec::kMaxWorkers);
-  EXPECT_GE(exec::resolve_workers(0), 1);   // defers to KAMI_THREADS (>= 1)
-  EXPECT_GE(exec::resolve_workers(-3), 1);
-  EXPECT_GE(exec::default_workers(), 1);
-  EXPECT_LE(exec::default_workers(), exec::kMaxWorkers);
+  EXPECT_EQ(ExecutionEngine(5).workers(), 5);
+  EXPECT_EQ(ExecutionEngine(exec::kMaxWorkers + 100).workers(), exec::kMaxWorkers);
+  EXPECT_THROW((void)ExecutionEngine(0), PreconditionError);
+  EXPECT_THROW((void)ExecutionEngine(-3), PreconditionError);
 }
 
 TEST(ExecEngine, ParallelForRunsEveryIndexExactlyOnce) {

@@ -1,18 +1,15 @@
 // Request-span traces and the flight recorder: builder mechanics, the JSON
-// and canonical-text forms, the recorder's bounded keep-errors retention,
-// and the execution engine's span propagation (traces must be bit-identical
-// at every worker count).
+// and canonical-text forms, and the recorder's bounded keep-errors
+// retention.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exec/engine.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
@@ -265,59 +262,6 @@ TEST(FlightRecorderConcurrency, ParallelRecordAndSnapshot) {
   std::set<std::string> ids;
   for (const auto& t : rec.snapshot()) ids.insert(t.request_id);
   EXPECT_EQ(ids.size(), rec.size());
-}
-
-// The engine's span-propagation contract: a traced parallel_for produces the
-// byte-identical trace at every worker count, including under exceptions.
-std::string traced_region(int workers, std::size_t n, std::size_t throw_at = SIZE_MAX) {
-  const exec::ExecutionEngine engine(workers);
-  TraceBuilder b("req-1");
-  b.open("fan_out");
-  obs::ScopedTracer install(&b);
-  try {
-    engine.parallel_for(n, [&](std::size_t i) {
-      TraceBuilder* t = obs::current_tracer();
-      EXPECT_NE(t, nullptr);
-      t->open("sim");
-      t->attr_num("index", static_cast<double>(i));
-      t->advance(static_cast<double>(i + 1) * 10.0);
-      t->close();
-      if (i == throw_at) throw std::runtime_error("task failed");
-    });
-  } catch (const std::runtime_error&) {
-    b.root_attr("code", "task_failed");
-  }
-  return b.finish().canonical_text();
-}
-
-TEST(ParallelTraceDeterminism, TracesAreBitIdenticalAcrossWorkerCounts) {
-  const std::string serial = traced_region(1, 12);
-  for (const int workers : {2, 4, 8})
-    EXPECT_EQ(traced_region(workers, 12), serial) << "workers=" << workers;
-
-  // The region advances the parent clock by the slowest task, and every
-  // task[i] shard span is present.
-  EXPECT_NE(serial.find("task[11]"), std::string::npos);
-  EXPECT_NE(serial.find("fan_out [0, 120)"), std::string::npos) << serial;
-}
-
-TEST(ParallelTraceDeterminism, LowestFailingIndexContractHoldsForTraces) {
-  const std::string serial = traced_region(1, 8, /*throw_at=*/3);
-  for (const int workers : {2, 4, 8})
-    EXPECT_EQ(traced_region(workers, 8, 3), serial) << "workers=" << workers;
-  // Shards up to and including the failing index are grafted; later ones
-  // are discarded exactly like their metric shards.
-  EXPECT_NE(serial.find("task[3]"), std::string::npos);
-  EXPECT_EQ(serial.find("task[4]"), std::string::npos);
-}
-
-TEST(ParallelTraceDeterminism, UntracedRegionsStillRunSerialFastPath) {
-  // No tracer installed: parallel_for must not fabricate spans.
-  const exec::ExecutionEngine engine(4);
-  std::vector<int> hits(16, 0);
-  engine.parallel_for(16, [&](std::size_t i) { hits[i] = 1; });
-  for (const int h : hits) EXPECT_EQ(h, 1);
-  EXPECT_EQ(obs::current_tracer(), nullptr);
 }
 
 TEST(TraceSpan, ChromeExportIsWellFormedJson) {

@@ -16,7 +16,7 @@
 // status is nonzero when any point violates the contract.
 //
 // Points are independent, so the campaign fans out across --threads workers
-// with a bit-identical report.
+// (at least 1, the default) with a bit-identical report.
 //
 // Every request is traced into a flight recorder (typed-error traces are
 // always retained; ok traces ride a bounded ring). --flight writes the
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
   std::uint64_t seed = 1;
   std::size_t points = 500;
-  int threads = 0;  // 0 = defer to KAMI_THREADS
+  int threads = 1;
   std::string json_path;
   std::string flight_path;
   try {
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
       else if (args[i] == "--seed" && i + 1 < args.size())
         seed = parse_count<std::uint64_t>(args[++i]);
       else if (args[i] == "--threads" && i + 1 < args.size())
-        threads = parse_count<int>(args[++i]);
+        threads = parse_count<int>(args[++i], 1);
       else if (args[i] == "--json" && i + 1 < args.size()) json_path = args[++i];
       else if (args[i] == "--flight" && i + 1 < args.size()) flight_path = args[++i];
       else if (args[i] == "--smoke") points = 120;
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
     }
     return run(seed, points, threads, json_path, flight_path);
   } catch (const kami::tools::BadCount& bad) {
-    std::cerr << "kami_chaos: malformed count \"" << bad.text << "\"\n";
+    std::cerr << "kami_chaos: invalid count \"" << bad.text << "\"\n";
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "kami_chaos: " << e.what() << "\n";

@@ -17,6 +17,9 @@
 //                                          `model --seed S --iters 1` replays
 //                                          one iteration
 //
+// fuzz and model fan their points out across --threads workers (at least 1,
+// the default) with a bit-identical report.
+//
 // Exit status is nonzero when any point fails; skipped points (infeasible or
 // unsupported configurations that every mode rejects identically) pass.
 #include <cstdint>
@@ -223,7 +226,7 @@ int main(int argc, char** argv) {
     if (args[0] == "fuzz") {
       std::uint64_t seed = 1;
       std::size_t iters = 25;
-      int threads = 0;  // 0 = defer to KAMI_THREADS
+      int threads = 1;
       std::string json_path;
       for (std::size_t i = 1; i < args.size(); ++i) {
         if (args[i] == "--seed" && i + 1 < args.size())
@@ -231,7 +234,7 @@ int main(int argc, char** argv) {
         else if (args[i] == "--iters" && i + 1 < args.size())
           iters = parse_count<std::size_t>(args[++i]);
         else if (args[i] == "--threads" && i + 1 < args.size())
-          threads = parse_count<int>(args[++i]);
+          threads = parse_count<int>(args[++i], 1);
         else if (args[i] == "--json" && i + 1 < args.size()) json_path = args[++i];
         else return usage();
       }
@@ -248,7 +251,7 @@ int main(int argc, char** argv) {
     if (args[0] == "model") {
       std::uint64_t seed = 1;
       std::size_t iters = 15;
-      int threads = 0;  // 0 = defer to KAMI_THREADS
+      int threads = 1;
       std::string json_path;
       std::vector<std::string> corpus;
       for (std::size_t i = 1; i < args.size(); ++i) {
@@ -257,7 +260,7 @@ int main(int argc, char** argv) {
         else if (args[i] == "--iters" && i + 1 < args.size())
           iters = parse_count<std::size_t>(args[++i]);
         else if (args[i] == "--threads" && i + 1 < args.size())
-          threads = parse_count<int>(args[++i]);
+          threads = parse_count<int>(args[++i], 1);
         else if (args[i] == "--json" && i + 1 < args.size()) json_path = args[++i];
         else if (args[i] == "--corpus") {
           while (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0)
@@ -267,7 +270,7 @@ int main(int argc, char** argv) {
       return cmd_model(seed, iters, threads, json_path, corpus);
     }
   } catch (const kami::tools::BadCount& bad) {
-    std::cerr << "kami_verify: malformed count \"" << bad.text << "\"\n";
+    std::cerr << "kami_verify: invalid count \"" << bad.text << "\"\n";
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "kami_verify: " << e.what() << "\n";

@@ -2,7 +2,7 @@
 // --seed, --threads, ...). std::stoul and friends accept "-1" (wrapping it
 // to 2^64-1) and "5x" (stopping at the 'x'); a count flag here is decimal
 // digits only — no sign, no whitespace, no trailing characters — within
-// the target type's range.
+// [min, the target type's maximum].
 #pragma once
 
 #include <charconv>
@@ -13,18 +13,18 @@
 
 namespace kami::tools {
 
-/// Thrown by parse_count on malformed input; each tool answers it with its
-/// usage text and exit status 2.
+/// Thrown by parse_count on malformed or out-of-range input; each tool
+/// answers it with its usage text and exit status 2.
 struct BadCount {
   std::string text;
 };
 
 template <class T>
-T parse_count(const std::string& text) {
+T parse_count(const std::string& text, T min = 0) {
   std::uint64_t value = 0;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end ||
+  if (ec != std::errc() || ptr != end || value < static_cast<std::uint64_t>(min) ||
       value > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
     throw BadCount{text};
   return static_cast<T>(value);
