@@ -8,6 +8,8 @@
 //     checks alongside the timings);
 //   * autotune: the pre-split path (one Full simulation per candidate on
 //     random operands) vs the cached TimingOnly path, cold and warm;
+//   * the block baselines' Full-mode host cost against TimingOnly (with
+//     profile and bit-for-bit reference checks alongside);
 //   * batched: the pre-split per-entry Full loop vs the fast path (one
 //     cached TimingOnly profile per distinct shape + NumericsOnly values);
 //   * ProfileCache cold miss vs warm hit.
@@ -18,12 +20,14 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "baselines/reference.hpp"
 #include "bench_common.hpp"
 #include "core/autotune.hpp"
 #include "core/batched.hpp"
@@ -150,9 +154,11 @@ bool profiles_identical(const sim::KernelProfile& a, const sim::KernelProfile& b
          a.num_warps == b.num_warps;
 }
 
+/// Element bit patterns equal (-0 vs +0 and NaN payloads count).
 template <Scalar T>
 bool bits_identical(const Matrix<T>& a, const Matrix<T>& b) {
-  return max_abs_diff(a, b) == 0.0;
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(T)) == 0;
 }
 
 std::string ms(double seconds) { return fmt_double(seconds * 1e3, 3); }
@@ -292,6 +298,71 @@ void fig08_full_sweep(int reps, bool smoke, obs::RunReport* gate) {
                                fmt_double(warm_total * 1e3, 3));
   bench::run_report().set_meta("fig08_equivalence", sweep_ok ? "yes" : "NO");
   if (gate != nullptr) gate->add_table("Full-mode data plane gate", gate_table);
+}
+
+/// One square baseline point for baselines_full_cost: Full and TimingOnly
+/// host time, with the Full profile checked against TimingOnly and the Full
+/// C against reference_gemm, bit for bit.
+template <Scalar T, typename Gemm>
+void baseline_point(TablePrinter& table, int reps, const std::string& kernel,
+                    const sim::DeviceSpec& dev, std::size_t n, Gemm&& gemm) {
+  const std::string prec = precision_name(num_traits<T>::precision);
+  Rng rng(n);
+  const auto A = random_matrix<T>(n, n, rng);
+  const auto B = random_matrix<T>(n, n, rng);
+  const auto full = gemm(dev, A, B, sim::ExecMode::Full);
+  if (!full.feasible) {
+    g_equivalence_ok = false;
+    table.add_row({kernel, dev.name, prec, std::to_string(n), "-", "-", "-", "NO", "NO"});
+    return;
+  }
+  const auto timing = gemm(dev, A, B, sim::ExecMode::TimingOnly);
+  const double t_full = best_seconds(reps, [&] {
+    benchmark::DoNotOptimize(gemm(dev, A, B, sim::ExecMode::Full).C.data());
+  });
+  const double t_timing = best_seconds(reps, [&] {
+    benchmark::DoNotOptimize(gemm(dev, A, B, sim::ExecMode::TimingOnly).profile.latency);
+  });
+  const bool prof_eq = profiles_identical(timing.profile, full.profile);
+  const bool ref_eq = bits_identical(full.C, baselines::reference_gemm(A, B));
+  if (!prof_eq || !ref_eq) g_equivalence_ok = false;
+  table.add_row({kernel, dev.name, prec, std::to_string(n), ms(t_full), ms(t_timing),
+                 ratio(t_full, t_timing), prof_eq ? "yes" : "NO", ref_eq ? "yes" : "NO"});
+}
+
+/// Full-mode host cost of the block baselines Fig 8 compares against: their
+/// operand staging and (for CUTLASS-like, whose fixed tile pads small
+/// problems) the host multiplies behind each simulated MMA. full/timing is
+/// what the data plane costs on top of the timing model. --smoke keeps the
+/// orders <= 64; any "NO" fails the binary's exit code.
+void baselines_full_cost(int reps, bool smoke) {
+  TablePrinter table({"kernel", "device", "precision", "order", "full (ms)", "timing (ms)",
+                      "full/timing", "profile==timing", "C==reference"});
+  const auto cutlass = [](const sim::DeviceSpec& dev, const auto& A, const auto& B,
+                          sim::ExecMode mode) {
+    return baselines::cutlass_gemm(dev, A, B, false, nullptr, mode);
+  };
+  const auto cublasdx = [](const sim::DeviceSpec& dev, const auto& A, const auto& B,
+                           sim::ExecMode mode) {
+    return baselines::cublasdx_gemm(dev, A, B, 4, false, mode);
+  };
+  const auto syclbench = [](const sim::DeviceSpec& dev, const auto& A, const auto& B,
+                            sim::ExecMode mode) {
+    return baselines::syclbench_gemm(dev, A, B, 4, false, mode);
+  };
+  for (const std::size_t n : {16u, 64u, 192u})
+    if (!smoke || n <= 64)
+      baseline_point<fp16_t>(table, reps, "CUTLASS-like", sim::gh200(), n, cutlass);
+  if (!smoke)
+    baseline_point<fp8_e4m3_t>(table, reps, "CUTLASS-like", sim::rtx5090(), 256, cutlass);
+  for (const std::size_t n : {64u, 128u})
+    if (!smoke || n <= 64)
+      baseline_point<fp16_t>(table, reps, "cuBLASDx-like", sim::gh200(), n, cublasdx);
+  for (const std::size_t n : {64u, 128u})
+    if (!smoke || n <= 64)
+      baseline_point<fp16_t>(table, reps, "SYCL-Bench-like", sim::intel_max1100(), n,
+                             syclbench);
+  bench::emit_table(table, "Baselines, Full-mode host cost");
 }
 
 /// Pre-split autotune (per-candidate Full on random operands) vs the cached
@@ -445,6 +516,7 @@ void run_harness(bool smoke, const std::string& gate_path) {
   obs::RunReport* gate = gate_path.empty() ? nullptr : &gate_report;
   mode_comparison(reps);
   fig08_full_sweep(reps, smoke, gate);
+  baselines_full_cost(reps, smoke);
   autotune_comparison(reps);
   batched_comparison(reps, batch);
   cache_comparison(reps);

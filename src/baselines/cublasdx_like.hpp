@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "baselines/baseline_result.hpp"
+#include "baselines/staging.hpp"
 #include "model/cost_model.hpp"
 #include "sim/block.hpp"
 
@@ -112,17 +113,12 @@ BaselineResult<T> cublasdx_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       // The A column slice is k-strided inside SmA, so the cost is charged
       // explicitly while the values come from the staged copy's source.
       w.charge_smem_read_traffic(a_slice.bytes());
-      if (w.numerics_enabled())
-        for (std::size_t r = 0; r < row_chunk; ++r)
-          for (std::size_t c = 0; c < kw; ++c)
-            a_slice(r, c) = A(i * row_chunk + r, k0 + c);
+      if (w.numerics_enabled()) stage_window(a_slice, A, i * row_chunk, k0);
       for (std::size_t c0 = 0; c0 < n; c0 += nt) {
         const std::size_t cw = (c0 + nt <= n) ? nt : n - c0;
         auto b_chunk = w.alloc_fragment<T>(kw, cw);
         w.charge_smem_read_traffic(b_chunk.bytes());
-        if (w.numerics_enabled())
-          for (std::size_t r = 0; r < kw; ++r)
-            for (std::size_t c = 0; c < cw; ++c) b_chunk(r, c) = B(k0 + r, c0 + c);
+        if (w.numerics_enabled()) stage_window(b_chunk, B, k0, c0);
         w.mma(Ci[i], 0, c0, a_slice.view(), b_chunk.view());
       }
     });

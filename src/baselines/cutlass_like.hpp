@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "baselines/baseline_result.hpp"
+#include "baselines/staging.hpp"
 #include "model/cost_model.hpp"
 #include "sim/block.hpp"
 
@@ -90,12 +91,7 @@ BaselineResult<T> cutlass_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
           const auto i = static_cast<std::size_t>(w.id());
           const std::size_t a_rows = tile.m / kWarps;
           auto a_part = w.alloc_fragment<T>(a_rows, tile.k);
-          if (w.numerics_enabled())
-            for (std::size_t r = 0; r < a_rows; ++r)
-              for (std::size_t c = 0; c < tile.k; ++c) {
-                const std::size_t gr = rbase + i * a_rows + r, gc = k0 + c;
-                a_part(r, c) = (gr < m && gc < k) ? A(gr, gc) : T{};
-              }
+          if (w.numerics_enabled()) stage_window(a_part, A, rbase + i * a_rows, k0);
           w.charge_global_traffic_async(a_part.bytes());
           sim::SmemTile<T> a_dst{SmA.byte_offset + i * a_rows * tile.k * sizeof(T),
                                  a_rows, tile.k};
@@ -103,12 +99,7 @@ BaselineResult<T> cutlass_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
 
           const std::size_t b_rows = tile.k / kWarps;
           auto b_part = w.alloc_fragment<T>(b_rows, tile.n);
-          if (w.numerics_enabled())
-            for (std::size_t r = 0; r < b_rows; ++r)
-              for (std::size_t c = 0; c < tile.n; ++c) {
-                const std::size_t gr = k0 + i * b_rows + r, gc = cbase + c;
-                b_part(r, c) = (gr < k && gc < n) ? B(gr, gc) : T{};
-              }
+          if (w.numerics_enabled()) stage_window(b_part, B, k0 + i * b_rows, cbase);
           w.charge_global_traffic_async(b_part.bytes());
           sim::SmemTile<T> b_dst{SmB.byte_offset + i * b_rows * tile.n * sizeof(T),
                                  b_rows, tile.n};
@@ -116,28 +107,23 @@ BaselineResult<T> cutlass_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
         });
         blk.sync();
 
-        // Each warp pulls its operand halves from shared memory and
-        // multiplies the full padded warp tile.
+        // Each warp pulls its operand halves from shared memory and issues
+        // the full padded warp tile on the tensor cores; the host multiplies
+        // only the part of it that holds real data.
         blk.phase([&](sim::Warp& w) {
           const auto i = static_cast<std::size_t>(w.id());
           const std::size_t wr = i / 2, wc = i % 2;
+          const std::size_t r0 = rbase + wr * wm, c0 = cbase + wc * wn;
           auto a_half = w.alloc_fragment<T>(wm, tile.k);
           auto b_half = w.alloc_fragment<T>(tile.k, wn);
           w.charge_smem_read_traffic(a_half.bytes());
           w.charge_smem_read_traffic(b_half.bytes());
           if (w.numerics_enabled()) {
-            for (std::size_t r = 0; r < wm; ++r)
-              for (std::size_t c = 0; c < tile.k; ++c) {
-                const std::size_t gr = rbase + wr * wm + r, gc = k0 + c;
-                a_half(r, c) = (gr < m && gc < k) ? A(gr, gc) : T{};
-              }
-            for (std::size_t r = 0; r < tile.k; ++r)
-              for (std::size_t c = 0; c < wn; ++c) {
-                const std::size_t gr = k0 + r, gc = cbase + wc * wn + c;
-                b_half(r, c) = (gr < k && gc < n) ? B(gr, gc) : T{};
-              }
+            stage_window(a_half, A, r0, k0);
+            stage_window(b_half, B, k0, c0);
           }
-          w.mma(Cw[i], a_half.view(), b_half.view());
+          w.mma_padded(Cw[i], a_half.view(), b_half.view(), valid_extent(r0, wm, m),
+                       valid_extent(c0, wn, n), valid_extent(k0, tile.k, k));
         });
         blk.sync();
       }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "baselines/baseline_result.hpp"
+#include "baselines/staging.hpp"
 #include "model/cost_model.hpp"
 #include "sim/block.hpp"
 
@@ -75,11 +76,8 @@ BaselineResult<T> syclbench_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       w.charge_smem_read_traffic(a_slice.bytes());
       w.charge_smem_read_traffic(b_panel.bytes());
       if (w.numerics_enabled()) {
-        for (std::size_t r = 0; r < row_chunk; ++r)
-          for (std::size_t c = 0; c < kw; ++c)
-            a_slice(r, c) = A(i * row_chunk + r, k0 + c);
-        for (std::size_t r = 0; r < kw; ++r)
-          for (std::size_t c = 0; c < n; ++c) b_panel(r, c) = B(k0 + r, c);
+        stage_window(a_slice, A, i * row_chunk, k0);
+        stage_window(b_panel, B, k0, 0);
       }
       // The defining difference: scalar FMAs on the vector pipe, no MMA.
       w.fma_scalar(Ci[i], a_slice.view(), b_panel.view());

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <type_traits>
 
 #include "core/arena.hpp"
@@ -44,13 +43,6 @@ namespace kami::core {
 // the Full-mode simulator data plane (sim/warp.hpp) runs the exact same code.
 
 namespace detail {
-
-/// True when the element ranges [p, p + np) and [q, q + nq) share an element.
-template <typename T>
-bool spans_overlap(const T* p, std::size_t np, const T* q, std::size_t nq) noexcept {
-  const std::less<const T*> before;
-  return np != 0 && nq != 0 && before(p, q + nq) && before(q, p + np);
-}
 
 /// c (m x n, zeroed) += a (m x k) x b (k x n) in the KAMI-3D association:
 /// each of `layers` k-segments accumulates on its own, and the partial sums

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <functional>
 
 namespace kami::core {
 
@@ -144,6 +145,13 @@ template <std::size_t VB, typename Acc>
   }
 }
 #endif
+
+/// True when the element ranges [p, p + np) and [q, q + nq) share an element.
+template <typename T>
+bool spans_overlap(const T* p, std::size_t np, const T* q, std::size_t nq) noexcept {
+  const std::less<const T*> before;
+  return np != 0 && nq != 0 && before(p, q + nq) && before(q, p + np);
+}
 
 /// C (m x n, row stride ldc) += A (m x k, stride lda) x B (k x n, stride
 /// ldb), one ascending-k chain per C element, compiled for the build's

@@ -45,6 +45,10 @@ class FragView {
     return frag_->data() + (r0_ + r) * frag_->cols() + c0_;
   }
 
+  /// Elements from one view row to the next (the fragment's width), so a
+  /// kernel can read the whole view in place as a strided matrix.
+  std::size_t row_stride() const noexcept { return frag_->cols(); }
+
   /// A sub-window of this view (same underlying fragment).
   FragView window(std::size_t r0, std::size_t c0, std::size_t rows, std::size_t cols) const {
     KAMI_REQUIRE(r0 + rows <= rows_ && c0 + cols <= cols_);

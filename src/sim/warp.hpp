@@ -19,9 +19,11 @@
 //
 // Data plane (numerics half of each op). The fragment ops run on the same
 // host kernel as the NumericsOnly fast path (core/vector_kernels.hpp):
-// mma/fma_scalar decode operand rows through the types/decode_tables LUT
-// spans into arena buffers and accumulate into the C fragment, at its row
-// stride, with gemm_accumulate; add_inplace uses the element-wise add_span;
+// mma/fma_scalar accumulate into the C fragment, at its row stride, with
+// gemm_accumulate — fp32/fp64 operands straight from their fragment rows,
+// narrower types after decoding the rows through the types/decode_tables
+// LUT spans into arena buffers; mma_padded multiplies only the valid window
+// of zero-padded operands; add_inplace uses the element-wise add_span;
 // fragment<->smem/global copies are row-granular memcpys. Each C element is
 // still one ascending-k sequential chain in accumulator precision, narrowed
 // once — so results are bit-identical to the scalar seed loops and to
@@ -39,6 +41,7 @@
 #include <cstddef>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "core/arena.hpp"
 #include "core/vector_kernels.hpp"
@@ -238,16 +241,28 @@ class Warp {
   template <Scalar T>
   void mma(Fragment<typename num_traits<T>::acc_t>& C, std::size_t cr0, std::size_t cc0,
            const FragView<T>& A, const FragView<T>& B) {
-    KAMI_REQUIRE(A.cols() == B.rows(), "mma inner dimensions must agree");
-    KAMI_REQUIRE(cr0 + A.rows() <= C.rows() && cc0 + B.cols() <= C.cols());
-    if (numerics_) mma_accumulate(C, cr0, cc0, A, B);
-    charge_mma(num_traits<T>::precision, A.rows(), B.cols(), A.cols());
+    mma_window(C, cr0, cc0, A, B, A.rows(), B.cols(), A.cols());
   }
 
   template <Scalar T>
   void mma(Fragment<typename num_traits<T>::acc_t>& C, const FragView<T>& A,
            const FragView<T>& B) {
     mma(C, 0, 0, A, B);
+  }
+
+  /// Tensor-core MMA on zero-padded operands (a fixed-tile kernel whose
+  /// problem is smaller than its tile). The tensor core is charged for the
+  /// full A x B, exactly as mma; the host multiplies only the valid window,
+  /// rows x depth of A times depth x cols of B, into C[0..rows, 0..cols].
+  /// Bit-identical to mma on the caller's stored region when the padding is
+  /// +0 and C's padded rows and columns are never stored: padded k adds a
+  /// trailing run of +0 products to an accumulator that starts at +0, so it
+  /// is never -0 and adding +0 leaves it unchanged.
+  template <Scalar T>
+  void mma_padded(Fragment<typename num_traits<T>::acc_t>& C, const FragView<T>& A,
+                  const FragView<T>& B, std::size_t rows, std::size_t cols,
+                  std::size_t depth) {
+    mma_window(C, 0, 0, A, B, rows, cols, depth);
   }
 
   /// Element-wise accumulate C += P (used by the 3D inter-layer reduction);
@@ -276,7 +291,7 @@ class Warp {
                   const FragView<T>& B) {
     KAMI_REQUIRE(A.cols() == B.rows());
     KAMI_REQUIRE(A.rows() <= C.rows() && B.cols() <= C.cols());
-    if (numerics_) mma_accumulate(C, 0, 0, A, B);
+    if (numerics_) mma_accumulate(C, 0, 0, A, B, A.rows(), B.cols(), A.cols());
     charge_vector_flops(2.0 * static_cast<double>(A.rows() * B.cols() * A.cols()),
                         num_traits<T>::precision);
   }
@@ -490,28 +505,57 @@ class Warp {
       smem_->write_row(dst, r, src.row(r), src.cols());
   }
 
-  /// Shared numerics for mma and fma_scalar: C[cr0.., cc0..] += A x B with
-  /// one ascending-k sequential chain per output element in accumulator
-  /// precision. Operand rows are decoded through the LUT spans into arena
-  /// scratch once (hoisting the num_traits conversions out of the O(m*n*k)
-  /// loop), then gemm_accumulate — the exact kernel the NumericsOnly path
-  /// runs — updates the C window in place at the fragment's row stride.
-  /// Bit-identical to the scalar seed triple loop by the argument in
-  /// core/vector_kernels.hpp.
+  /// The one MMA body behind mma and mma_padded: the host multiplies the
+  /// rows x depth by depth x cols window of the operands into C[cr0.., cc0..]
+  /// and the tensor core is charged for the full fragments.
+  template <Scalar T>
+  void mma_window(Fragment<typename num_traits<T>::acc_t>& C, std::size_t cr0,
+                  std::size_t cc0, const FragView<T>& A, const FragView<T>& B,
+                  std::size_t rows, std::size_t cols, std::size_t depth) {
+    KAMI_REQUIRE(A.cols() == B.rows(), "mma inner dimensions must agree");
+    KAMI_REQUIRE(cr0 + A.rows() <= C.rows() && cc0 + B.cols() <= C.cols());
+    KAMI_REQUIRE(rows <= A.rows() && cols <= B.cols() && depth <= A.cols(),
+                 "mma window must lie inside the fragments");
+    if (numerics_) mma_accumulate(C, cr0, cc0, A, B, rows, cols, depth);
+    charge_mma(num_traits<T>::precision, A.rows(), B.cols(), A.cols());
+  }
+
+  /// Shared numerics for mma, mma_padded and fma_scalar: C[cr0.., cc0..] +=
+  /// A[0..rows, 0..depth] x B[0..depth, 0..cols] with one ascending-k
+  /// sequential chain per output element in accumulator precision, through
+  /// gemm_accumulate — the exact kernel the NumericsOnly path runs — at the
+  /// fragments' row strides. Identity codecs (fp32/fp64 accumulate in
+  /// themselves) multiply the fragment rows in place, as numeric_gemm_into
+  /// does; narrower types decode the window's operand rows through the LUT
+  /// spans into arena scratch once, hoisting the num_traits conversions out
+  /// of the O(m*n*k) loop. Bit-identical to the scalar seed triple loop by
+  /// the argument in core/vector_kernels.hpp.
   template <Scalar T>
   void mma_accumulate(Fragment<typename num_traits<T>::acc_t>& C, std::size_t cr0,
-                      std::size_t cc0, const FragView<T>& A, const FragView<T>& B) {
+                      std::size_t cc0, const FragView<T>& A, const FragView<T>& B,
+                      std::size_t rows, std::size_t cols, std::size_t depth) {
     using Acc = typename num_traits<T>::acc_t;
-    const std::size_t fm = A.rows(), fn = B.cols(), fk = A.cols();
-    if (fm == 0 || fn == 0 || fk == 0) return;
-    core::Arena& arena = core::Arena::tls();
-    core::ArenaScope scope(arena);
-    Acc* Af = arena.alloc<Acc>(fm * fk);
-    Acc* Bf = arena.alloc<Acc>(fk * fn);
-    for (std::size_t r = 0; r < fm; ++r) types::decode_span(A.row(r), Af + r * fk, fk);
-    for (std::size_t r = 0; r < fk; ++r) types::decode_span(B.row(r), Bf + r * fn, fn);
-    core::detail::gemm_accumulate(C.row_data(cr0) + cc0, C.cols(), Af, fk, Bf, fn, fm, fn,
-                                  fk);
+    if (rows == 0 || cols == 0 || depth == 0) return;
+    Acc* c = C.row_data(cr0) + cc0;
+    if constexpr (std::is_same_v<T, Acc>) {
+      const std::size_t lda = A.row_stride(), ldb = B.row_stride();
+      KAMI_REQUIRE(!core::detail::spans_overlap(C.data(), C.rows() * C.cols(), A.row(0),
+                                                (rows - 1) * lda + depth) &&
+                       !core::detail::spans_overlap(C.data(), C.rows() * C.cols(),
+                                                    B.row(0), (depth - 1) * ldb + cols),
+                   "mma: C must not overlap A or B");
+      core::detail::gemm_accumulate(c, C.cols(), A.row(0), lda, B.row(0), ldb, rows, cols,
+                                    depth);
+    } else {
+      core::Arena& arena = core::Arena::tls();
+      core::ArenaScope scope(arena);
+      Acc* Af = arena.alloc<Acc>(rows * depth);
+      Acc* Bf = arena.alloc<Acc>(depth * cols);
+      for (std::size_t r = 0; r < rows; ++r)
+        types::decode_span(A.row(r), Af + r * depth, depth);
+      for (std::size_t r = 0; r < depth; ++r) types::decode_span(B.row(r), Bf + r * cols, cols);
+      core::detail::gemm_accumulate(c, C.cols(), Af, depth, Bf, cols, rows, cols, depth);
+    }
   }
 
   /// Shared numerics for add_inplace/add_inplace_at: C[r0.., c0..] += P,

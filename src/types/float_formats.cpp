@@ -47,6 +47,29 @@ std::uint16_t fp16_encode_reference(float v) noexcept {
   return static_cast<std::uint16_t>(sign | static_cast<std::uint16_t>(biased << 10) | mant);
 }
 
+std::uint8_t fp8_e4m3_encode_reference(float v) noexcept {
+  const std::uint32_t fbits = std::bit_cast<std::uint32_t>(v);
+  const std::uint8_t sign = static_cast<std::uint8_t>((fbits >> 24) & 0x80u);
+  if (std::isnan(v)) return static_cast<std::uint8_t>(sign | 0x7Fu);
+  // E4M3 has no infinity and hardware convert saturates, so an infinite
+  // input becomes the max finite (448). It must not reach quantize_magnitude
+  // (ilogb(inf) = INT_MAX leads to a NaN and an out-of-range cast).
+  if (std::isinf(v)) return static_cast<std::uint8_t>(sign | 0x7Eu);
+  const double mag = std::fabs(static_cast<double>(v));
+  // E4M3 has no infinity: conversions saturate to the max finite value.
+  const double q = detail::quantize_magnitude(mag, 3, -6, 448.0, /*has_inf=*/false);
+  if (q == 0.0) return sign;
+  int e = std::ilogb(q);
+  if (e < -6) {
+    // Subnormal: value = m * 2^-9, 0 < m < 8.
+    const auto m = static_cast<std::uint8_t>(std::ldexp(q, 9));
+    return static_cast<std::uint8_t>(sign | m);
+  }
+  const auto mant = static_cast<std::uint8_t>(std::ldexp(q, 3 - e) - 8.0);
+  const auto biased = static_cast<std::uint8_t>(e + 7);
+  return static_cast<std::uint8_t>(sign | static_cast<std::uint8_t>(biased << 3) | mant);
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -121,27 +144,39 @@ float bf16_t::decode(std::uint16_t b) noexcept {
 // fp8 e4m3
 // ---------------------------------------------------------------------------
 
+// Pure integer float->E4M3 conversion, round-to-nearest-even, saturating —
+// the same single rounding from the float significand as fp16_t::encode, so
+// the result equals detail::fp8_e4m3_encode_reference on every float input
+// (all 2^32 bit patterns checked once; directed and random coverage in
+// tests/types/decode_tables_test.cpp). Every FP8 operand and C element
+// narrows through here, so it must not cost a double-precision round trip.
 std::uint8_t fp8_e4m3_t::encode(float v) noexcept {
-  const std::uint32_t fbits = std::bit_cast<std::uint32_t>(v);
-  const std::uint8_t sign = static_cast<std::uint8_t>((fbits >> 24) & 0x80u);
-  if (std::isnan(v)) return static_cast<std::uint8_t>(sign | 0x7Fu);
-  // E4M3 has no infinity and hardware convert saturates, so an infinite
-  // input becomes the max finite (448). It must not reach quantize_magnitude
-  // (ilogb(inf) = INT_MAX leads to a NaN and an out-of-range cast).
-  if (std::isinf(v)) return static_cast<std::uint8_t>(sign | 0x7Eu);
-  const double mag = std::fabs(static_cast<double>(v));
-  // E4M3 has no infinity: conversions saturate to the max finite value.
-  const double q = detail::quantize_magnitude(mag, 3, -6, 448.0, /*has_inf=*/false);
-  if (q == 0.0) return sign;
-  int e = std::ilogb(q);
-  if (e < -6) {
-    // Subnormal: value = m * 2^-9, 0 < m < 8.
-    const auto m = static_cast<std::uint8_t>(std::ldexp(q, 9));
-    return static_cast<std::uint8_t>(sign | m);
+  const std::uint32_t f = std::bit_cast<std::uint32_t>(v);
+  const auto sign = static_cast<std::uint8_t>((f >> 24) & 0x80u);
+  const std::uint32_t abs = f & 0x7FFFFFFFu;
+  if (abs > 0x7F800000u) return static_cast<std::uint8_t>(sign | 0x7Fu);  // NaN
+  // E4M3 has no infinity and hardware convert saturates: |v| >= 448 (the max
+  // finite), infinity included, becomes 448. Below 448 nothing rounds past it.
+  if (abs >= 0x43E00000u) return static_cast<std::uint8_t>(sign | 0x7Eu);
+  if (abs >= 0x3C800000u) {
+    // Normal range [2^-6, 448): the target ulp sits at float bit 20; rebias
+    // the exponent (127-7 = 120) and apply RNE on the low 20 bits.
+    const std::uint32_t lsb = (abs >> 20) & 1u;
+    const std::uint32_t rounded = abs + 0x7FFFFu + lsb;
+    return static_cast<std::uint8_t>(sign | ((rounded >> 20) - (120u << 3)));
   }
-  const auto mant = static_cast<std::uint8_t>(std::ldexp(q, 3 - e) - 8.0);
-  const auto biased = static_cast<std::uint8_t>(e + 7);
-  return static_cast<std::uint8_t>(sign | static_cast<std::uint8_t>(biased << 3) | mant);
+  // Subnormal-or-zero result: |v| < 2^-6 quantizes to m * 2^-9. A carry to
+  // m = 8 spills into the 0x08 exponent field, which is exactly the encoding
+  // of 2^-6 — no fixup needed.
+  const std::uint32_t e = abs >> 23;
+  if (e < 117) return sign;  // |v| < 2^-10 rounds to (signed) zero under RNE
+  const std::uint32_t sig = (abs & 0x007FFFFFu) | 0x00800000u;
+  const std::uint32_t shift = 141u - e;  // in [21, 24]
+  const std::uint32_t m0 = sig >> shift;
+  const std::uint32_t low = sig & ((1u << shift) - 1u);
+  const std::uint32_t half = 1u << (shift - 1u);
+  const std::uint32_t m = m0 + ((low > half || (low == half && (m0 & 1u))) ? 1u : 0u);
+  return static_cast<std::uint8_t>(sign | m);
 }
 
 float fp8_e4m3_t::decode(std::uint8_t b) noexcept {

@@ -28,6 +28,11 @@ double quantize_magnitude(double x, int mant_bits, int min_exp, double max_norm,
 /// tests/types/decode_tables_test.cpp).
 std::uint16_t fp16_encode_reference(float v) noexcept;
 
+/// The original quantize_magnitude-based E4M3 encoder, kept as the reference
+/// rounding model for the integer encoder in fp8_e4m3_t::encode, under the
+/// same bit-for-bit contract as fp16_encode_reference.
+std::uint8_t fp8_e4m3_encode_reference(float v) noexcept;
+
 }  // namespace detail
 
 /// IEEE 754 binary16. Storage is the exact bit pattern; arithmetic promotes

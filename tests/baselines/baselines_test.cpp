@@ -2,6 +2,11 @@
 // algorithms, not stubs) and the cost structure the paper attributes to each.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "../testing/expect.hpp"
 #include "baselines/cublas_like.hpp"
 #include "core/batched.hpp"
 #include "baselines/cublasdx_like.hpp"
@@ -15,30 +20,91 @@
 namespace kami::baselines {
 namespace {
 
+using kami::testing::bits_equal;
+using kami::testing::expect_profile_identical;
+
 const sim::DeviceSpec& nv() { return sim::gh200(); }
+
+using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;  // m, n, k
+
+/// `count` seeded shapes with each dim in [lo, hi] and no dim a multiple of
+/// 16 — so none is a multiple of any CUTLASS tile edge, and k is never a
+/// multiple of the 16-wide k-step. m is rounded to a multiple of `m_mult`
+/// (the warp count, for kernels that split m evenly over warps).
+std::vector<Shape> ragged_shapes(std::uint64_t seed, int count, std::size_t lo,
+                                 std::size_t hi, std::size_t m_mult = 1) {
+  Rng rng(seed);
+  auto draw = [&](std::size_t mult) {
+    for (;;) {
+      const std::size_t v = (lo + rng.uniform_index(hi - lo + 1)) / mult * mult;
+      if (v >= lo && v % 16 != 0) return v;
+    }
+  };
+  std::vector<Shape> out;
+  for (int i = 0; i < count; ++i) {
+    const std::size_t m = draw(m_mult), n = draw(1), k = draw(1);
+    out.emplace_back(m, n, k);
+  }
+  return out;
+}
+
+/// Runs `f(T{})` for each of the six storage precisions.
+template <typename F>
+void for_each_precision(F&& f) {
+  f(double{});
+  f(float{});
+  f(tf32_t{});
+  f(fp16_t{});
+  f(bf16_t{});
+  f(fp8_e4m3_t{});
+}
+
+/// One baseline input, checked both ways: the Full C equals reference_gemm
+/// bit for bit, and the Full profile equals the TimingOnly one.
+template <Scalar T, typename Gemm>
+void expect_exact_and_timing_equal(const Shape& shape, std::uint64_t seed, Gemm&& gemm) {
+  const auto [m, n, k] = shape;
+  SCOPED_TRACE(std::string(precision_name(num_traits<T>::precision)) + " " +
+               std::to_string(m) + "x" + std::to_string(n) + "x" + std::to_string(k));
+  Rng rng(seed);
+  const auto A = random_matrix<T>(m, k, rng);
+  const auto B = random_matrix<T>(k, n, rng);
+  const auto full = gemm(A, B, sim::ExecMode::Full);
+  ASSERT_TRUE(full.feasible) << full.note;
+  EXPECT_TRUE(bits_equal(full.C, reference_gemm(A, B)));
+  expect_profile_identical(full.profile, gemm(A, B, sim::ExecMode::TimingOnly).profile);
+}
 
 // ---------------------------------------------------------------------------
 // cuBLASDx-like
 // ---------------------------------------------------------------------------
 
+const auto cublasdx_on_gh200 = [](const auto& A, const auto& B, sim::ExecMode mode) {
+  return cublasdx_gemm(nv(), A, B, 4, false, mode);
+};
+
 TEST(CublasdxLike, MatchesReferenceBitwiseFp16) {
-  for (std::size_t n : {16u, 32u, 64u, 128u}) {
-    Rng rng(n);
-    const auto A = random_matrix<fp16_t>(n, n, rng);
-    const auto B = random_matrix<fp16_t>(n, n, rng);
-    const auto r = cublasdx_gemm(nv(), A, B);
-    ASSERT_TRUE(r.feasible);
-    EXPECT_DOUBLE_EQ(max_abs_diff(r.C, reference_gemm(A, B)), 0.0) << n;
-  }
+  for (std::size_t n : {16u, 32u, 64u, 128u})
+    expect_exact_and_timing_equal<fp16_t>({n, n, n}, n, cublasdx_on_gh200);
 }
 
 TEST(CublasdxLike, MatchesReferenceBitwiseFp64) {
-  Rng rng(9);
-  const auto A = random_matrix<double>(64, 64, rng);
-  const auto B = random_matrix<double>(64, 64, rng);
-  const auto r = cublasdx_gemm(nv(), A, B);
-  ASSERT_TRUE(r.feasible);
-  EXPECT_DOUBLE_EQ(max_abs_diff(r.C, reference_gemm(A, B)), 0.0);
+  expect_exact_and_timing_equal<double>({64, 64, 64}, 9, cublasdx_on_gh200);
+}
+
+TEST(CublasdxLike, MatchesReferenceBitwiseOnRaggedShapesEveryPrecision) {
+  // Ragged n and k (partial 32-column B chunks, a partial last k-step) in
+  // all six precisions. m stays a multiple of the 4 warps and every shape
+  // keeps the per-warp accumulator far inside the register file, so the
+  // warp count never escalates: escalation builds the block with the
+  // unescalated count and computes only part of C, a known defect that
+  // needs its own test.
+  std::uint64_t seed = 300;
+  for (const auto& shape : ragged_shapes(31, 4, 4, 68, 4))
+    for_each_precision([&](auto tag) {
+      using T = decltype(tag);
+      expect_exact_and_timing_equal<T>(shape, ++seed, cublasdx_on_gh200);
+    });
 }
 
 TEST(CublasdxLike, Fp64Order98IsTheSharedMemoryCeiling) {
@@ -88,15 +154,26 @@ TEST(CublasdxLike, KamiOutperformsAtBlockLevel) {
 // CUTLASS-like
 // ---------------------------------------------------------------------------
 
+const auto cutlass_on_gh200 = [](const auto& A, const auto& B, sim::ExecMode mode) {
+  return cutlass_gemm(nv(), A, B, false, nullptr, mode);
+};
+
 TEST(CutlassLike, MatchesReferenceBitwiseFp16) {
-  for (std::size_t n : {16u, 64u, 128u}) {
-    Rng rng(n + 7);
-    const auto A = random_matrix<fp16_t>(n, n, rng);
-    const auto B = random_matrix<fp16_t>(n, n, rng);
-    const auto r = cutlass_gemm(nv(), A, B);
-    ASSERT_TRUE(r.feasible);
-    EXPECT_DOUBLE_EQ(max_abs_diff(r.C, reference_gemm(A, B)), 0.0) << n;
-  }
+  for (std::size_t n : {16u, 64u, 128u})
+    expect_exact_and_timing_equal<fp16_t>({n, n, n}, n + 7, cutlass_on_gh200);
+}
+
+TEST(CutlassLike, MatchesReferenceBitwiseOnPaddedShapesEveryPrecision) {
+  // m, n and k off every tile edge: partial tiles in all three dims, more
+  // than one tile along m or n, and a padded last k-step — the host multiplies
+  // only the valid window of each padded warp tile (Warp::mma_padded), so
+  // this pins that skipping the padding changes no bit and no cycle.
+  std::uint64_t seed = 400;
+  for (const auto& shape : ragged_shapes(37, 4, 1, 150))
+    for_each_precision([&](auto tag) {
+      using T = decltype(tag);
+      expect_exact_and_timing_equal<T>(shape, ++seed, cutlass_on_gh200);
+    });
 }
 
 TEST(CutlassLike, MultiTileProblemsSweepTiles) {
@@ -105,7 +182,7 @@ TEST(CutlassLike, MultiTileProblemsSweepTiles) {
   const auto B = random_matrix<fp8_e4m3_t>(256, 256, rng);
   const auto r = cutlass_gemm(nv(), A, B);
   ASSERT_TRUE(r.feasible);
-  EXPECT_DOUBLE_EQ(max_abs_diff(r.C, reference_gemm(A, B)), 0.0);
+  EXPECT_TRUE(bits_equal(r.C, reference_gemm(A, B)));
 }
 
 TEST(CutlassLike, PaddingWasteDominatesSmallSizes) {
@@ -146,13 +223,23 @@ TEST(CutlassLike, KamiSpeedupLargestAtSmallestSize) {
 // SYCL-Bench-like (Intel)
 // ---------------------------------------------------------------------------
 
+const auto syclbench_on_max1100 = [](const auto& A, const auto& B, sim::ExecMode mode) {
+  return syclbench_gemm(sim::intel_max1100(), A, B, 4, false, mode);
+};
+
 TEST(SyclBenchLike, MatchesReferenceBitwise) {
-  Rng rng(13);
-  const auto A = random_matrix<fp16_t>(64, 64, rng);
-  const auto B = random_matrix<fp16_t>(64, 64, rng);
-  const auto r = syclbench_gemm(sim::intel_max1100(), A, B);
-  ASSERT_TRUE(r.feasible);
-  EXPECT_DOUBLE_EQ(max_abs_diff(r.C, reference_gemm(A, B)), 0.0);
+  expect_exact_and_timing_equal<fp16_t>({64, 64, 64}, 13, syclbench_on_max1100);
+}
+
+TEST(SyclBenchLike, MatchesReferenceBitwiseOnRaggedShapesEveryPrecision) {
+  // Ragged n and k (a partial last 16-wide k-step) in all six precisions;
+  // m stays a multiple of the 4 work-group rows the kernel splits it into.
+  std::uint64_t seed = 500;
+  for (const auto& shape : ragged_shapes(41, 4, 4, 68, 4))
+    for_each_precision([&](auto tag) {
+      using T = decltype(tag);
+      expect_exact_and_timing_equal<T>(shape, ++seed, syclbench_on_max1100);
+    });
 }
 
 TEST(SyclBenchLike, NeverTouchesTensorCores) {

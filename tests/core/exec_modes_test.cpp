@@ -13,11 +13,11 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "../testing/expect.hpp"
 #include "baselines/cublasdx_like.hpp"
 #include "baselines/cutlass_like.hpp"
 #include "baselines/reference.hpp"
@@ -30,32 +30,8 @@
 namespace kami {
 namespace {
 
-void expect_profile_identical(const sim::KernelProfile& a,
-                              const sim::KernelProfile& b) {
-  EXPECT_EQ(a.latency, b.latency);
-  EXPECT_EQ(a.tc_busy, b.tc_busy);
-  EXPECT_EQ(a.smem_busy, b.smem_busy);
-  EXPECT_EQ(a.gmem_busy, b.gmem_busy);
-  EXPECT_EQ(a.vector_busy, b.vector_busy);
-  EXPECT_EQ(a.useful_flops, b.useful_flops);
-  EXPECT_EQ(a.reg_bytes_per_warp, b.reg_bytes_per_warp);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.num_warps, b.num_warps);
-  EXPECT_EQ(a.mean_breakdown.smem_comm, b.mean_breakdown.smem_comm);
-  EXPECT_EQ(a.mean_breakdown.gmem, b.mean_breakdown.gmem);
-  EXPECT_EQ(a.mean_breakdown.reg_copy, b.mean_breakdown.reg_copy);
-  EXPECT_EQ(a.mean_breakdown.compute, b.mean_breakdown.compute);
-  EXPECT_EQ(a.mean_breakdown.sync_wait, b.mean_breakdown.sync_wait);
-}
-
-template <Scalar T>
-::testing::AssertionResult bits_equal(const Matrix<T>& a, const Matrix<T>& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols())
-    return ::testing::AssertionFailure() << "shape mismatch";
-  if (std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(T)) != 0)
-    return ::testing::AssertionFailure() << "element bit patterns differ";
-  return ::testing::AssertionSuccess();
-}
+using kami::testing::bits_equal;
+using kami::testing::expect_profile_identical;
 
 /// A kernel's phase trace: the root span runs over [0, latency], its children
 /// cover it end to end with no gap or overlap, and it survives JSON.

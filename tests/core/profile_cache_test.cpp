@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 
+#include "../testing/expect.hpp"
 #include "core/profile_cache.hpp"
 #include "obs/metrics.hpp"
 #include "sim/deadline.hpp"
@@ -21,20 +22,10 @@ using core::CachedProfile;
 using core::ProfileCache;
 using core::ProfileKey;
 using core::timing_profile;
+using kami::testing::expect_profile_identical;
 
 double counter(const char* name) {
   return obs::MetricRegistry::global().counter(name).value();
-}
-
-void expect_profile_identical(const sim::KernelProfile& a,
-                              const sim::KernelProfile& b) {
-  EXPECT_EQ(a.latency, b.latency);
-  EXPECT_EQ(a.tc_busy, b.tc_busy);
-  EXPECT_EQ(a.smem_busy, b.smem_busy);
-  EXPECT_EQ(a.gmem_busy, b.gmem_busy);
-  EXPECT_EQ(a.vector_busy, b.vector_busy);
-  EXPECT_EQ(a.useful_flops, b.useful_flops);
-  EXPECT_EQ(a.num_warps, b.num_warps);
 }
 
 /// A synthetic key for LRU-mechanics tests (no planner involved).

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <tuple>
 #include <vector>
 
 #include "../testing/test_device.hpp"
@@ -83,6 +84,45 @@ TEST(DataPlane, MmaRaggedShapesMatchScalarReference) {
     check_mma_ragged<fp8_e4m3_t>(m, n, k);
   }
   check_mma_ragged<double>(3, 9, 5);  // 4-lane double tails
+}
+
+// Identity codecs (fp32/fp64) multiply the fragment rows in place at the
+// fragments' row strides: interior views of wider fragments must read the
+// right elements, and a window that is not the whole C must be the only
+// part that changes.
+template <Scalar T>
+void check_mma_interior_views(std::size_t fm, std::size_t fn, std::size_t fk) {
+  const auto dev = tiny_device();
+  ThreadBlock blk(dev, 1);
+  Rng rng(91 + fm * 7 + fn * 3 + fk);
+  blk.phase([&](Warp& w) {
+    auto A = w.alloc_fragment<T>(fm + 3, fk + 5);
+    auto B = w.alloc_fragment<T>(fk + 2, fn + 4);
+    auto C = w.alloc_fragment<T>(fm + 2, fn + 3);
+    fill_random(A, rng);
+    fill_random(B, rng);
+    fill_random(C, rng);
+    const auto a = A.view(2, 3, fm, fk), b = B.view(1, 4, fk, fn);
+    const auto want = reference_mma(C, 1, 2, a, b);
+    std::vector<T> before(C.data(), C.data() + C.rows() * C.cols());
+    w.mma(C, 1, 2, a, b);
+    for (std::size_t r = 0; r < C.rows(); ++r)
+      for (std::size_t c = 0; c < C.cols(); ++c) {
+        const bool inside = r >= 1 && r < 1 + fm && c >= 2 && c < 2 + fn;
+        EXPECT_EQ(C(r, c), inside ? want[(r - 1) * fn + (c - 2)] : before[r * C.cols() + c])
+            << "shape " << fm << "x" << fn << "x" << fk << " at (" << r << "," << c << ")";
+      }
+  });
+}
+
+TEST(DataPlane, IdentityCodecMmaReadsInteriorViewsInPlace) {
+  for (const auto& [m, n, k] : {std::tuple<std::size_t, std::size_t, std::size_t>{1, 1, 1},
+                               {3, 9, 5},
+                               {5, 17, 66},
+                               {9, 4, 13}}) {
+    check_mma_interior_views<float>(m, n, k);
+    check_mma_interior_views<double>(m, n, k);
+  }
 }
 
 TEST(DataPlane, FmaScalarMatchesScalarReference) {
@@ -232,6 +272,23 @@ TEST(DataPlane, ArenaSteadyStateAcrossFullModeOps) {
   EXPECT_EQ(arena.capacity_bytes(), capacity) << "per-op arena growth detected";
   EXPECT_EQ(arena.chunks_mapped(), chunks) << "per-op chunk mapping detected";
   EXPECT_EQ(arena.live_bytes(), 0u);
+
+  // Identity codecs multiply the fragments in place: FP64 Full-mode MMAs
+  // and vector FMAs draw nothing from the arena at all.
+  const std::size_t drawn = arena.total_allocated_bytes();
+  blk.phase([&](Warp& w) {
+    auto A = w.alloc_fragment<double>(16, 16);
+    auto B = w.alloc_fragment<double>(16, 8);
+    auto C = w.alloc_fragment<double>(16, 8);
+    fill_random(A, rng);
+    fill_random(B, rng);
+    for (int i = 0; i < 8; ++i) {
+      w.mma(C, A.view(), B.view());
+      w.mma(C, 2, 1, A.view(0, 3, 9, 5), B.view(3, 0, 5, 7));
+      w.fma_scalar(C, A.view(), B.view());
+    }
+  });
+  EXPECT_EQ(arena.total_allocated_bytes(), drawn) << "FP64 MMA staged operands in the arena";
 }
 
 // Batched counters: per-op adds accumulate warp-locally and publish on

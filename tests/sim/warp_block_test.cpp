@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "../testing/test_device.hpp"
+#include "obs/metrics.hpp"
 #include "sim/block.hpp"
 
 namespace kami::sim {
@@ -113,6 +116,56 @@ TEST(Warp, MmaCostPadsToInstructionShape) {
     w.mma(C, A.view(), B.view());  // tiny fragment still issues a full MMA
   });
   EXPECT_DOUBLE_EQ(blk2.cycles(), 64.0);
+}
+
+// mma_padded is mma's cost on the full fragments with the host arithmetic
+// cut to the valid window: clock, tensor-core occupancy and the sim.mma.*
+// counters match mma exactly, the window holds the product over the valid
+// depth only, and C outside the window is untouched.
+TEST(Warp, MmaPaddedChargesLikeMmaAndMultipliesOnlyTheWindow) {
+  const auto dev = tiny_device();  // fp32 shape m16n8k8
+  auto& reg = obs::MetricRegistry::global();
+  auto fill = [](Fragment<float>& f, float base) {
+    for (std::size_t r = 0; r < f.rows(); ++r)
+      for (std::size_t c = 0; c < f.cols(); ++c)
+        f(r, c) = base + static_cast<float>(r * f.cols() + c) / 64.0f;
+  };
+  // One 16x24 by 24x8 MMA, full or padded to a 5x3 window of depth 7;
+  // returns clock, tensor-core occupancy and the two sim.mma.* counters.
+  auto run = [&](bool padded) {
+    obs::ScopedMetricsReset reset;
+    ThreadBlock blk(dev, 1);
+    blk.phase([&](Warp& w) {
+      auto A = w.alloc_fragment<float>(16, 24);
+      auto B = w.alloc_fragment<float>(24, 8);
+      auto C = w.alloc_fragment<float>(16, 8);
+      fill(A, 1.0f);
+      fill(B, -0.5f);
+      C.fill(3.0f);
+      if (!padded) {
+        w.mma(C, A.view(), B.view());
+        return;
+      }
+      w.mma_padded(C, A.view(), B.view(), 5, 3, 7);
+      // The window holds C + A[:5, :7] x B[:7, :3] (one ascending-k chain);
+      // everything else keeps its old value.
+      for (std::size_t r = 0; r < 16; ++r)
+        for (std::size_t c = 0; c < 8; ++c) {
+          float want = 3.0f;
+          if (r < 5 && c < 3)
+            for (std::size_t k = 0; k < 7; ++k) want += A(r, k) * B(k, c);
+          EXPECT_EQ(C(r, c), want) << "(" << r << "," << c << ")";
+        }
+    });
+    blk.flush_metrics();
+    return std::tuple{blk.cycles(), blk.tc_busy_cycles(),
+                      reg.counter("sim.mma.instructions").value(),
+                      reg.counter("sim.mma.flops").value()};
+  };
+  const auto full = run(false);
+  EXPECT_DOUBLE_EQ(std::get<0>(full), 3 * 64.0);  // 1 x 1 x 3 instructions
+  EXPECT_DOUBLE_EQ(std::get<2>(full), 3.0);
+  EXPECT_EQ(run(true), full);
 }
 
 TEST(Block, TensorCoreUnitsShareAcrossWarps) {

@@ -7,7 +7,10 @@
 //                                          with --tolerance, exit nonzero when
 //                                          any numeric delta exceeds <pct>
 //                                          percent (non-numeric diffs always
-//                                          count as out of tolerance)
+//                                          count as out of tolerance); <pct>
+//                                          is a non-negative decimal, and
+//                                          anything else prints usage
+//                                          (exit 2)
 //   kami_prof validate <run.json> [--expect-fig15]
 //                                          schema check; nonzero exit on failure
 //
@@ -24,6 +27,7 @@
 
 #include "obs/json.hpp"
 #include "obs/report.hpp"
+#include "parse_count.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -291,7 +295,7 @@ int main(int argc, char** argv) {
       double tolerance = -1.0;  // negative = reporting mode, never gates
       for (int i = 4; i < argc; ++i) {
         if (std::string(argv[i]) == "--tolerance" && i + 1 < argc)
-          tolerance = std::stod(argv[++i]);
+          tolerance = kami::tools::parse_decimal(argv[++i]);
         else
           return usage();
       }
@@ -303,6 +307,8 @@ int main(int argc, char** argv) {
         if (std::string(argv[i]) == "--expect-fig15") expect_fig15 = true;
       return cmd_validate(argv[2], expect_fig15);
     }
+  } catch (const kami::tools::BadCount&) {
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "kami_prof: " << e.what() << "\n";
     return 1;
