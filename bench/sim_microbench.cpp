@@ -34,6 +34,7 @@
 #include "core/numeric_path.hpp"
 #include "core/profile_cache.hpp"
 #include "model/cost_model.hpp"
+#include "verify/differential.hpp"
 
 namespace kami {
 namespace {
@@ -147,11 +148,20 @@ double best_seconds(int reps, F&& fn) {
   return best;
 }
 
-bool profiles_identical(const sim::KernelProfile& a, const sim::KernelProfile& b) {
-  return a.latency == b.latency && a.tc_busy == b.tc_busy &&
-         a.smem_busy == b.smem_busy && a.gmem_busy == b.gmem_busy &&
-         a.vector_busy == b.vector_busy && a.useful_flops == b.useful_flops &&
-         a.num_warps == b.num_warps;
+/// Mean wall seconds per call of fn() over as many calls as fill `window`
+/// seconds (at least one). A call of a few hundredths of a millisecond timed
+/// on its own is mostly scheduler noise; a window of them is a rate.
+template <typename F>
+double seconds_per_call(double window, F&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t calls = 0;
+  std::chrono::duration<double> dt{};
+  do {
+    fn();
+    ++calls;
+    dt = std::chrono::steady_clock::now() - t0;
+  } while (dt.count() < window);
+  return dt.count() / static_cast<double>(calls);
 }
 
 /// Element bit patterns equal (-0 vs +0 and NaN payloads count).
@@ -175,8 +185,10 @@ void record_speedup(const std::string& key, double base, double fast) {
 }
 
 /// Full vs TimingOnly vs NumericsOnly per kernel, with the equivalence
-/// checks the fast paths rely on.
-void mode_comparison(int reps) {
+/// checks the fast paths rely on. Each mode is timed over a 50 ms window of
+/// repeated calls, so the host columns are rates rather than one sample.
+void mode_comparison() {
+  constexpr double kWindowSeconds = 0.05;
   TablePrinter table({"kernel", "full (ms)", "timing (ms)", "numerics (ms)",
                       "timing speedup", "numerics speedup", "numerics GFLOP/s",
                       "profile==full", "C==full"});
@@ -194,19 +206,19 @@ void mode_comparison(int reps) {
     const auto timing = gemm(algo, dev, A, B, timing_opt);
     const auto numer = gemm(algo, dev, A, B, numerics_opt);
 
-    const double t_full = best_seconds(reps, [&] {
+    const double t_full = seconds_per_call(kWindowSeconds, [&] {
       benchmark::DoNotOptimize(gemm(algo, dev, A, B, full_opt).profile.latency);
     });
-    const double t_timing = best_seconds(reps, [&] {
+    const double t_timing = seconds_per_call(kWindowSeconds, [&] {
       benchmark::DoNotOptimize(gemm(algo, dev, A, B, timing_opt).profile.latency);
     });
-    const double t_numer = best_seconds(reps, [&] {
+    const double t_numer = seconds_per_call(kWindowSeconds, [&] {
       benchmark::DoNotOptimize(gemm(algo, dev, A, B, numerics_opt).C.data());
     });
 
     const double flops = model::gemm_flops(64, 64, 64);
     if (algo == Algo::OneD && t_numer > 0.0) numerics_gflops_1d = flops / t_numer / 1e9;
-    const bool prof_eq = profiles_identical(timing.profile, full.profile);
+    const bool prof_eq = verify::profile_diff(timing.profile, full.profile).empty();
     const bool bits_eq = bits_identical(numer.C, full.C);
     if (!prof_eq || !bits_eq) g_equivalence_ok = false;
     table.add_row({std::string(algo_name(algo)) + " fp16 64", ms(t_full), ms(t_timing),
@@ -229,8 +241,10 @@ void mode_comparison(int reps) {
 /// When `gate` is given, the stable subset (orders 16/32/64 — the --smoke
 /// orders, so smoke and full runs produce the same gate table) also lands in
 /// a standalone gate report: only machine-independent cells (simulated
-/// cycles, equivalence flags) plus dimensionless host-cost ratios, so CI can
-/// `kami_prof diff` it against the committed baseline with a wide tolerance.
+/// cycles, equivalence flags) plus dimensionless host-cost ratios. CI
+/// `kami_prof diff`s it against the committed baseline: the logical columns,
+/// named in the report's exact_columns meta key, must match exactly, and the
+/// host ratio gets a wide tolerance.
 void fig08_full_sweep(int reps, bool smoke, obs::RunReport* gate) {
   const auto& dev = sim::gh200();
   const std::vector<std::size_t> orders =
@@ -276,7 +290,7 @@ void fig08_full_sweep(int reps, bool smoke, obs::RunReport* gate) {
         benchmark::DoNotOptimize(gemm(algo, dev, A, B, timing_opt).profile.latency);
       });
 
-      const bool prof_eq = profiles_identical(timing.profile, full->profile);
+      const bool prof_eq = verify::profile_diff(timing.profile, full->profile).empty();
       const bool bits_eq = bits_identical(numer.C, full->C);
       if (!prof_eq || !bits_eq) {
         g_equivalence_ok = false;
@@ -323,7 +337,7 @@ void baseline_point(TablePrinter& table, int reps, const std::string& kernel,
   const double t_timing = best_seconds(reps, [&] {
     benchmark::DoNotOptimize(gemm(dev, A, B, sim::ExecMode::TimingOnly).profile.latency);
   });
-  const bool prof_eq = profiles_identical(timing.profile, full.profile);
+  const bool prof_eq = verify::profile_diff(timing.profile, full.profile).empty();
   const bool ref_eq = bits_identical(full.C, baselines::reference_gemm(A, B));
   if (!prof_eq || !ref_eq) g_equivalence_ok = false;
   table.add_row({kernel, dev.name, prec, std::to_string(n), ms(t_full), ms(t_timing),
@@ -514,15 +528,19 @@ void run_harness(bool smoke, const std::string& gate_path) {
       "simd_lanes_f64", std::to_string(core::numeric_simd_lanes<double>()));
   obs::RunReport gate_report("sim_microbench_gate");
   obs::RunReport* gate = gate_path.empty() ? nullptr : &gate_report;
-  mode_comparison(reps);
+  mode_comparison();
   fig08_full_sweep(reps, smoke, gate);
   baselines_full_cost(reps, smoke);
   autotune_comparison(reps);
   batched_comparison(reps, batch);
   cache_comparison(reps);
   if (gate != nullptr) {
-    // Meta is informational only — `kami_prof diff` compares tables, not
-    // meta — so build-dependent values here cannot trip the CI gate.
+    // `kami_prof diff` compares tables, not meta, so build-dependent values
+    // here cannot trip the CI gate. It does read exact_columns from the
+    // baseline report: the gate's logical columns, where any change fails
+    // whatever --tolerance allows. Only full/timing, a host ratio, keeps
+    // the tolerance.
+    gate_report.set_meta("exact_columns", "order|latency (cycles)|profile==full|C==full");
     gate_report.set_meta("simd_mode", core::numeric_simd_name());
     gate_report.set_meta("smoke", smoke ? "1" : "0");
     std::ofstream os(gate_path);

@@ -26,16 +26,19 @@ class ThreadBlock {
   ThreadBlock(const DeviceSpec& dev, int num_warps, ExecMode mode = ExecMode::Full)
       : dev_(&dev),
         mode_(mode),
-        smem_(dev.smem_bytes_per_block, dev.smem_bytes_per_cycle(), dev.smem_latency_cycles),
+        smem_(dev.smem_bytes_per_block, dev.smem_bytes_per_cycle(), dev.smem_latency_cycles,
+              mode),
         tc_(static_cast<std::size_t>(dev.tensor_cores_per_sm)) {
     KAMI_REQUIRE(num_warps >= 1 && num_warps <= 64, "warp count out of range");
     warps_.reserve(static_cast<std::size_t>(num_warps));
-    for (int w = 0; w < num_warps; ++w) {
-      warps_.push_back(
-          std::make_unique<Warp>(w, dev, smem_, tc_, gmem_port_, vector_pipe_));
-      warps_.back()->set_mode(mode);
-    }
+    for (int w = 0; w < num_warps; ++w)
+      warps_.push_back(std::make_unique<Warp>(w, dev, mode, warp_metrics_, smem_, tc_,
+                                              gmem_port_, vector_pipe_));
   }
+  // Warps hold the addresses of the block's shared memory, units, ports and
+  // metric handles, so a block is never copied or moved.
+  ThreadBlock(const ThreadBlock&) = delete;
+  ThreadBlock& operator=(const ThreadBlock&) = delete;
 
   const DeviceSpec& device() const noexcept { return *dev_; }
   ExecMode mode() const noexcept { return mode_; }
@@ -138,6 +141,9 @@ class ThreadBlock {
   UnitPool tc_;
   PortTimeline gmem_port_;
   PortTimeline vector_pipe_;
+  // Resolved once per block and lent to every warp; declared before warps_
+  // so it outlives the flush in each warp's destructor.
+  WarpMetricHandles warp_metrics_ = WarpMetricHandles::acquire();
   // unique_ptr: Warp is neither copyable nor movable (it owns a RegisterFile
   // referenced by live fragments).
   std::vector<std::unique_ptr<Warp>> warps_;

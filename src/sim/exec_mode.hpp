@@ -4,9 +4,13 @@
 //
 //   Full        — both, today's behavior.
 //   TimingOnly  — cycle accounting on shape metadata only; element loops and
-//                 smem/fragment byte movement are skipped. Profiles are
-//                 bit-identical to Full because every charge depends only on
-//                 shapes, byte counts, and phase structure — never on values.
+//                 smem/fragment byte movement are skipped, and the block
+//                 holds no element bytes at all: shared memory and register
+//                 fragments keep only their capacity accounting (so overflow
+//                 errors match Full), and accessing their storage asserts.
+//                 Profiles and sim.* metrics are bit-identical to Full
+//                 because every charge depends only on shapes, byte counts,
+//                 and phase structure — never on values.
 //   NumericsOnly— arithmetic only; clocks, port arbitration, metrics, and
 //                 trace recording are all skipped, so results are
 //                 bit-identical to Full at a fraction of the host cost.
@@ -18,7 +22,9 @@ namespace kami::sim {
 
 enum class ExecMode : std::uint8_t { Full, TimingOnly, NumericsOnly };
 
-/// Does this mode execute element arithmetic and data movement?
+/// Does this mode execute element arithmetic and data movement? The one
+/// place that decides whether a block's shared memory and fragments hold
+/// bytes.
 constexpr bool mode_computes(ExecMode m) noexcept { return m != ExecMode::TimingOnly; }
 
 /// Does this mode charge cycles / record traces / publish sim metrics?

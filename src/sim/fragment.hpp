@@ -3,7 +3,9 @@
 // A Fragment allocates its bytes from the owning warp's RegisterFile (RAII),
 // so register pressure is enforced by construction: a kernel that keeps too
 // much data warp-local throws RegisterOverflow exactly where real code would
-// spill, and the §4.7 cooperation layer handles it.
+// spill, and the §4.7 cooperation layer handles it. The accounting runs in
+// every mode; the rows x cols elements exist only when the register file's
+// warp moves data, so a TimingOnly fragment is its shape and nothing else.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +43,8 @@ class FragView {
   /// underlying fragment row. This is what lets the Full-mode data plane
   /// decode/copy whole rows through the span kernels instead of walking
   /// operator() element by element.
-  const T* row(std::size_t r) const noexcept {
+  const T* row(std::size_t r) const {
+    KAMI_ASSERT(frag_->holds_elements());
     return frag_->data() + (r0_ + r) * frag_->cols() + c0_;
   }
 
@@ -66,7 +69,10 @@ template <Scalar T>
 class Fragment {
  public:
   Fragment(RegisterFile& regs, std::size_t rows, std::size_t cols)
-      : regs_(&regs), rows_(rows), cols_(cols), data_(rows * cols, T{}) {
+      : regs_(&regs),
+        rows_(rows),
+        cols_(cols),
+        data_(regs.holds_elements() ? rows * cols : 0, T{}) {
     regs_->allocate(bytes());
   }
 
@@ -87,11 +93,17 @@ class Fragment {
   std::size_t cols() const noexcept { return cols_; }
   std::size_t bytes() const noexcept { return rows_ * cols_ * sizeof(T); }
 
+  /// True when the fragment holds its rows x cols elements (its warp moves
+  /// data); false in TimingOnly and after a move.
+  bool holds_elements() const noexcept { return data_.size() == rows_ * cols_; }
+
   T& operator()(std::size_t r, std::size_t c) {
+    KAMI_ASSERT(holds_elements());
     KAMI_ASSERT(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
   }
   const T& operator()(std::size_t r, std::size_t c) const {
+    KAMI_ASSERT(holds_elements());
     KAMI_ASSERT(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
   }
@@ -100,8 +112,14 @@ class Fragment {
   const T* data() const noexcept { return data_.data(); }
 
   /// Pointer to row `r` (cols() contiguous elements, row-major storage).
-  T* row_data(std::size_t r) noexcept { return data_.data() + r * cols_; }
-  const T* row_data(std::size_t r) const noexcept { return data_.data() + r * cols_; }
+  T* row_data(std::size_t r) {
+    KAMI_ASSERT(holds_elements());
+    return data_.data() + r * cols_;
+  }
+  const T* row_data(std::size_t r) const {
+    KAMI_ASSERT(holds_elements());
+    return data_.data() + r * cols_;
+  }
 
   FragView<T> view() const { return FragView<T>(*this, 0, 0, rows_, cols_); }
   FragView<T> view(std::size_t r0, std::size_t c0, std::size_t rows, std::size_t cols) const {

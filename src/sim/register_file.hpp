@@ -2,11 +2,16 @@
 // 32-bit registers per thread). Fragments allocate from here; exceeding the
 // limit throws RegisterOverflow, which the algorithm layer converts into the
 // paper's k-slice register/shared-memory cooperation.
+//
+// The file is built knowing its warp's ExecMode. The byte accounting below
+// runs in every mode, so feasibility errors are mode-independent; only a
+// warp that moves data gets fragments that hold elements (sim/fragment.hpp).
 #pragma once
 
 #include <cstddef>
 #include <string>
 
+#include "sim/exec_mode.hpp"
 #include "util/require.hpp"
 #include "verify/invariants.hpp"
 
@@ -19,7 +24,11 @@ class RegisterOverflow : public kami::PreconditionError {
 
 class RegisterFile {
  public:
-  explicit RegisterFile(std::size_t capacity_bytes) : capacity_(capacity_bytes) {}
+  RegisterFile(std::size_t capacity_bytes, ExecMode mode)
+      : capacity_(capacity_bytes), holds_elements_(mode_computes(mode)) {}
+
+  /// Do fragments allocated here hold their elements (a mode that moves data)?
+  bool holds_elements() const noexcept { return holds_elements_; }
 
   void allocate(std::size_t bytes) {
 #if KAMI_CHECK_INVARIANTS
@@ -62,6 +71,7 @@ class RegisterFile {
 
  private:
   std::size_t capacity_;
+  bool holds_elements_;
   std::size_t used_ = 0;
   std::size_t high_water_ = 0;
 };

@@ -2,9 +2,12 @@
 // and a single data port whose occupancy models banked bandwidth B_sm with
 // bank-conflict factors theta_r / theta_w (Table 2).
 //
-// Data written here is real bytes — a kernel that reads a tile before any
-// warp wrote it gets zeros and fails the numerical checks, so communication
-// bugs are caught by correctness tests, not just by cycle counts.
+// In a mode that moves data (Full, NumericsOnly) the store holds real bytes —
+// a kernel that reads a tile before any warp wrote it gets zeros and fails the
+// numerical checks, so communication bugs are caught by correctness tests, not
+// just by cycle counts. In TimingOnly no cycle depends on a value, so the
+// store holds no bytes: the capacity is only the number the allocator checks
+// against, and read/write/write_row assert that they are never reached.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "sim/exec_mode.hpp"
 #include "sim/resources.hpp"
 #include "util/require.hpp"
 #include "verify/invariants.hpp"
@@ -36,8 +40,12 @@ struct SmemTile {
 
 class SharedMemory {
  public:
-  SharedMemory(std::size_t capacity_bytes, double bytes_per_cycle, Cycles latency)
-      : bytes_(capacity_bytes, std::byte{0}),
+  /// `mode` is the owning block's: only a mode that moves data
+  /// (sim::mode_computes) gets a zero-filled byte store.
+  SharedMemory(std::size_t capacity_bytes, double bytes_per_cycle, Cycles latency,
+               ExecMode mode)
+      : capacity_(capacity_bytes),
+        bytes_(mode_computes(mode) ? capacity_bytes : 0, std::byte{0}),
         bytes_per_cycle_(bytes_per_cycle),
         latency_(latency) {
     KAMI_REQUIRE(bytes_per_cycle > 0.0);
@@ -48,19 +56,18 @@ class SharedMemory {
   SmemTile<T> alloc(std::size_t rows, std::size_t cols) {
     const std::size_t want = rows * cols * sizeof(T);
     top_ = (top_ + 15u) & ~std::size_t{15};
-    if (top_ + want > bytes_.size()) {
+    if (top_ + want > capacity_) {
       throw SharedMemoryOverflow("shared memory exhausted: need " + std::to_string(want) +
                                  " B at offset " + std::to_string(top_) + ", capacity " +
-                                 std::to_string(bytes_.size()) + " B");
+                                 std::to_string(capacity_) + " B");
     }
     SmemTile<T> tile{top_, rows, cols};
     top_ += want;
     if (top_ > high_water_) high_water_ = top_;
-    KAMI_INVARIANT(top_ <= bytes_.size() && high_water_ <= bytes_.size(),
+    KAMI_INVARIANT(top_ <= capacity_ && high_water_ <= capacity_,
                    "shared-memory allocator exceeded capacity");
-    auto& reg = obs::MetricRegistry::current();
-    reg.counter("sim.smem.tile_allocs").increment();
-    reg.gauge("sim.smem.high_water_bytes").set_max(static_cast<double>(high_water_));
+    tile_allocs_.increment();
+    high_water_gauge_.set_max(static_cast<double>(high_water_));
     return tile;
   }
 
@@ -69,7 +76,10 @@ class SharedMemory {
 
   std::size_t bytes_allocated() const noexcept { return top_; }
   std::size_t high_water_bytes() const noexcept { return high_water_; }
-  std::size_t capacity() const noexcept { return bytes_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
+
+  /// True when the store holds its capacity in bytes (a mode that moves data).
+  bool holds_bytes() const noexcept { return bytes_.size() == capacity_; }
 
   /// Port occupancy for moving `n` bytes with conflict factor theta.
   Cycles transfer_occupancy(std::size_t n, double theta) const {
@@ -86,11 +96,13 @@ class SharedMemory {
   // Raw data plumbing used by Warp's typed copy helpers.
   template <typename T>
   void write(const SmemTile<T>& tile, const T* src, std::size_t count) {
+    KAMI_ASSERT(holds_bytes());
     KAMI_ASSERT(count <= tile.rows * tile.cols);
     std::memcpy(bytes_.data() + tile.byte_offset, src, count * sizeof(T));
   }
   template <typename T>
   void read(const SmemTile<T>& tile, T* dst, std::size_t count) const {
+    KAMI_ASSERT(holds_bytes());
     KAMI_ASSERT(count <= tile.rows * tile.cols);
     std::memcpy(dst, bytes_.data() + tile.byte_offset, count * sizeof(T));
   }
@@ -101,18 +113,23 @@ class SharedMemory {
   template <typename T>
   void write_row(const SmemTile<T>& tile, std::size_t row, const T* src,
                  std::size_t count) {
+    KAMI_ASSERT(holds_bytes());
     KAMI_ASSERT(row < tile.rows && count <= tile.cols);
     std::memcpy(bytes_.data() + tile.byte_offset + row * tile.cols * sizeof(T), src,
                 count * sizeof(T));
   }
 
  private:
-  std::vector<std::byte> bytes_;
+  std::size_t capacity_;
+  std::vector<std::byte> bytes_;  ///< empty when the block moves no data
   std::size_t top_ = 0;
   std::size_t high_water_ = 0;
   double bytes_per_cycle_;
   Cycles latency_;
   PortTimeline port_;
+  obs::Counter& tile_allocs_ = obs::MetricRegistry::current().counter("sim.smem.tile_allocs");
+  obs::Gauge& high_water_gauge_ =
+      obs::MetricRegistry::current().gauge("sim.smem.high_water_bytes");
 };
 
 }  // namespace kami::sim

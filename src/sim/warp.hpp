@@ -61,9 +61,10 @@
 namespace kami::sim {
 
 /// Handles into the process-global obs::MetricRegistry for the warp's
-/// hot-path counters, resolved by name once per warp so an update is one
-/// add on a double. Metric names are part of the observability contract
-/// documented in README.md ("Observability").
+/// hot-path counters, resolved by name once per block (ThreadBlock owns the
+/// set and lends it to every warp) so an update is one add on a double.
+/// Metric names are part of the observability contract documented in
+/// README.md ("Observability").
 struct WarpMetricHandles {
   obs::Counter& smem_bytes_written;
   obs::Counter& smem_bytes_read;
@@ -114,15 +115,24 @@ struct PendingWarpMetrics {
 
 class Warp {
  public:
-  Warp(int id, const DeviceSpec& dev, SharedMemory& smem, UnitPool& tensor_cores,
-       PortTimeline& gmem_port, PortTimeline& vector_pipe)
+  /// `mode` selects which halves of each op run (see sim/exec_mode.hpp) and
+  /// is fixed for the warp's life, so a fragment never outlives the mode it
+  /// was allocated in. Shape checks and fragment/smem allocations stay active
+  /// in every mode so feasibility errors are mode-independent. `metrics` is
+  /// the owning block's handle set and must outlive the warp.
+  Warp(int id, const DeviceSpec& dev, ExecMode mode, const WarpMetricHandles& metrics,
+       SharedMemory& smem, UnitPool& tensor_cores, PortTimeline& gmem_port,
+       PortTimeline& vector_pipe)
       : id_(id),
         dev_(&dev),
         smem_(&smem),
         tc_(&tensor_cores),
         gmem_port_(&gmem_port),
         vector_pipe_(&vector_pipe),
-        regs_(dev.reg_bytes_per_warp()) {}
+        regs_(dev.reg_bytes_per_warp(), mode),
+        metrics_(metrics),
+        numerics_(mode_computes(mode)),
+        timing_(mode_times(mode)) {}
 
   ~Warp() { flush_metrics(); }
   Warp(const Warp&) = delete;
@@ -130,13 +140,6 @@ class Warp {
 
   int id() const noexcept { return id_; }
 
-  /// Select which halves of each op run (see sim/exec_mode.hpp). Shape
-  /// checks and fragment/smem allocations stay active in every mode so
-  /// feasibility errors are mode-independent.
-  void set_mode(ExecMode mode) noexcept {
-    numerics_ = mode_computes(mode);
-    timing_ = mode_times(mode);
-  }
   bool numerics_enabled() const noexcept { return numerics_; }
   bool timing_enabled() const noexcept { return timing_; }
 
@@ -593,13 +596,13 @@ class Warp {
   PortTimeline* gmem_port_;
   PortTimeline* vector_pipe_;
   RegisterFile regs_;
-  WarpMetricHandles metrics_ = WarpMetricHandles::acquire();
+  const WarpMetricHandles& metrics_;
   mutable PendingWarpMetrics pending_;
   Cycles clock_ = 0.0;
   Cycles deadline_ = 0.0;  ///< 0 = no cycle budget
   CycleBreakdown bd_;
-  bool numerics_ = true;
-  bool timing_ = true;
+  const bool numerics_;
+  const bool timing_;
   bool gmem_charging_ = true;
   Trace* trace_ = nullptr;
 };

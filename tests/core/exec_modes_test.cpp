@@ -7,13 +7,17 @@
 //     order and precision;
 //   * the kernel's phase spans (record_regions) are identical in both timed
 //     modes and tile the block's latency; NumericsOnly records none.
+//   * the sim.* counters and gauges a run publishes are identical in Full
+//     and TimingOnly, although a TimingOnly block holds no data plane.
 // Checked across the 1D/2D/3D x device x precision grid, spill ratios,
 // charged global I/O, and the block-level baselines.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "core/batched.hpp"
 #include "core/kami.hpp"
 #include "core/profile_cache.hpp"
+#include "obs/metrics.hpp"
 
 namespace kami {
 namespace {
@@ -253,6 +258,99 @@ TEST(ExecModes, SyclbenchBaseline) {
       baselines::syclbench_gemm(dev, A, B, 4, false, sim::ExecMode::NumericsOnly);
   expect_profile_identical(timing.profile, full.profile);
   EXPECT_TRUE(bits_equal(numer.C, full.C));
+}
+
+// ---------------------------------------------------------------------------
+// sim.* metrics do not depend on the mode
+// ---------------------------------------------------------------------------
+
+/// The sim.* counters and gauges that run(mode) publishes into a fresh
+/// registry.
+template <typename Run>
+std::map<std::string, double> sim_metrics(Run&& run, sim::ExecMode mode) {
+  obs::MetricRegistry reg;
+  {
+    const obs::ScopedMetricShard shard(reg);
+    run(mode);
+  }
+  std::map<std::string, double> out;
+  for (const auto& values : {reg.counter_values(), reg.gauge_values()})
+    for (const auto& [name, v] : values)
+      if (name.starts_with("sim.")) out.emplace(name, v);
+  return out;
+}
+
+/// Full and TimingOnly publish the same sim.* values, bit for bit.
+template <typename Run>
+void expect_sim_metrics_match(const std::string& kernel, Run&& run) {
+  SCOPED_TRACE(kernel);
+  const auto full = sim_metrics(run, sim::ExecMode::Full);
+  EXPECT_GT(full.at("sim.mma.flops") + full.at("sim.vector.flops"), 0.0);
+  EXPECT_EQ(sim_metrics(run, sim::ExecMode::TimingOnly), full);
+}
+
+TEST(ExecModes, SimMetricsMatchFullInTimingOnly) {
+  Rng rng(31);
+  const auto A = random_matrix<fp16_t>(32, 32, rng);
+  const auto B = random_matrix<fp16_t>(32, 32, rng);
+  for (const Algo algo : {Algo::OneD, Algo::TwoD, Algo::ThreeD}) {
+    for (const bool spilled : {false, true}) {
+      expect_sim_metrics_match(std::string(algo_name(algo)) + (spilled ? " spilled" : ""),
+                               [&](sim::ExecMode mode) {
+                                 GemmOptions opt;
+                                 opt.mode = mode;
+                                 if (spilled) {
+                                   opt.smem_ratio = 0.5;
+                                   opt.charge_global_io = true;
+                                 }
+                                 (void)gemm(algo, sim::gh200(), A, B, opt);
+                               });
+    }
+  }
+  expect_sim_metrics_match("cuBLASDx-like", [&](sim::ExecMode mode) {
+    (void)baselines::cublasdx_gemm(sim::gh200(), A, B, 4, false, mode);
+  });
+  expect_sim_metrics_match("CUTLASS-like", [&](sim::ExecMode mode) {
+    (void)baselines::cutlass_gemm(sim::gh200(), A, B, true, nullptr, mode);
+  });
+  expect_sim_metrics_match("SYCL-Bench-like", [&](sim::ExecMode mode) {
+    (void)baselines::syclbench_gemm(sim::intel_max1100(), A, B, 4, false, mode);
+  });
+}
+
+// One small point's values, recorded from the simulator when every warp
+// still resolved its own metric handles: sharing one handle set per block
+// must not move a sum.
+TEST(ExecModes, SimMetricsPinnedAtOneSmallPoint) {
+  Rng rng(31);
+  const auto A = random_matrix<fp16_t>(32, 32, rng);
+  const auto B = random_matrix<fp16_t>(32, 32, rng);
+  const std::map<std::string, double> expected = {
+      {"sim.block.reg_high_water_bytes", 4096},
+      {"sim.block.smem_high_water_bytes", 8192},
+      {"sim.block.syncs", 7},
+      {"sim.gmem.bytes_loaded", 0},
+      {"sim.gmem.bytes_stored", 0},
+      {"sim.mma.flops", 65536},
+      {"sim.mma.instructions", 16},
+      {"sim.reg.bytes_copied", 4096},
+      {"sim.smem.bytes_read", 8192},
+      {"sim.smem.bytes_written", 8192},
+      {"sim.smem.conflict_excess_cycles", 0},
+      {"sim.smem.conflicted_transfers", 0},
+      {"sim.smem.high_water_bytes", 8192},
+      {"sim.smem.tile_allocs", 12},
+      {"sim.sync.wait_cycles", 3262.603008},
+      {"sim.vector.flops", 1024},
+  };
+  for (const auto mode : {sim::ExecMode::Full, sim::ExecMode::TimingOnly}) {
+    const auto run = [&](sim::ExecMode m) {
+      GemmOptions opt;
+      opt.mode = m;
+      (void)gemm(Algo::ThreeD, sim::gh200(), A, B, opt);
+    };
+    EXPECT_EQ(sim_metrics(run, mode), expected) << sim::exec_mode_name(mode);
+  }
 }
 
 // ---------------------------------------------------------------------------

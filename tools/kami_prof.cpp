@@ -10,7 +10,10 @@
 //                                          count as out of tolerance); <pct>
 //                                          is a non-negative decimal, and
 //                                          anything else prints usage
-//                                          (exit 2)
+//                                          (exit 2). Columns that <a> names
+//                                          in its "exact_columns" meta key
+//                                          (names joined by '|') gate with
+//                                          zero tolerance: any change fails.
 //   kami_prof validate <run.json> [--expect-fig15]
 //                                          schema check; nonzero exit on failure
 //
@@ -21,6 +24,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -128,12 +132,28 @@ double pct_delta(double va, double vb) {
   return 100.0 * std::abs(vb - va) / std::abs(va);
 }
 
+/// The table columns a report declares exact in its "exact_columns" meta key:
+/// header names joined by '|'. A bench names its logical columns there
+/// (simulated cycles, equivalence flags), which no host can move.
+std::set<std::string> exact_columns(const RunReport& run) {
+  std::set<std::string> cols;
+  for (const auto& [key, value] : run.meta()) {
+    if (key != "exact_columns") continue;
+    std::istringstream names(value);
+    for (std::string name; std::getline(names, name, '|');)
+      if (!name.empty()) cols.insert(name);
+  }
+  return cols;
+}
+
 /// `tolerance` < 0: plain reporting diff (always exit 0). >= 0: regression
 /// gate — numeric deltas within tolerance percent are reported but allowed;
-/// out-of-tolerance numeric deltas and every structural or non-numeric
-/// difference fail the diff.
+/// out-of-tolerance numeric deltas, any change in a column the baseline `a`
+/// declares exact, and every structural or non-numeric difference fail the
+/// diff.
 int cmd_diff(const RunReport& a, const RunReport& b, double tolerance) {
   const bool gating = tolerance >= 0.0;
+  const std::set<std::string> exact = exact_columns(a);
   int differences = 0;
   int out_of_tolerance = 0;
   /// Account one numeric pair; returns the suffix to print after the delta.
@@ -142,6 +162,11 @@ int cmd_diff(const RunReport& a, const RunReport& b, double tolerance) {
     if (pct_delta(va, vb) <= tolerance) return "  [within tolerance]";
     ++out_of_tolerance;
     return "  [OUT OF TOLERANCE]";
+  };
+  const auto check_exact = [&]() -> const char* {
+    if (!gating) return "";
+    ++out_of_tolerance;
+    return "  [OUT OF TOLERANCE: exact column]";
   };
   const auto check_non_numeric = [&] {
     if (gating) ++out_of_tolerance;
@@ -178,7 +203,8 @@ int cmd_diff(const RunReport& a, const RunReport& b, double tolerance) {
                   << "]: " << ca << " -> " << cb;
         if (numeric && va != 0.0)
           std::cout << "  (" << kami::fmt_double(100.0 * (vb - va) / va, 1) << "%)";
-        if (numeric) std::cout << check_numeric(va, vb);
+        if (exact.contains(ta.headers[c])) std::cout << check_exact();
+        else if (numeric) std::cout << check_numeric(va, vb);
         else check_non_numeric();
         std::cout << "\n";
       }
