@@ -14,15 +14,15 @@
 //     cached TimingOnly profile per distinct shape + NumericsOnly values);
 //   * ProfileCache cold miss vs warm hit.
 // It prints tables and exports a kami.obs.run report via --json (the
-// speedups also land in the report meta). --smoke shrinks repetitions and
-// batch sizes for ctest. `--gbench [args...]` instead runs the
-// google-benchmark kernel microbenchmarks.
+// speedups also land in the report meta). Every host column except the
+// single-call "full cold" is the mean call over one kWindowSeconds window.
+// --smoke shrinks the orders and batch sizes for ctest. `--gbench [args...]`
+// instead runs the google-benchmark kernel microbenchmarks.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -135,24 +135,14 @@ BENCHMARK(BM_Fp16Conversion);
 // Comparison harness (the default run)
 // ---------------------------------------------------------------------------
 
-/// Best-of-`reps` wall seconds of fn().
-template <typename F>
-double best_seconds(int reps, F&& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-    if (dt.count() < best) best = dt.count();
-  }
-  return best;
-}
+/// The wall-clock window every host column is timed over.
+constexpr double kWindowSeconds = 0.05;
 
-/// Mean wall seconds per call of fn() over as many calls as fill `window`
-/// seconds (at least one). A call of a few hundredths of a millisecond timed
-/// on its own is mostly scheduler noise; a window of them is a rate.
+/// Mean wall seconds per call of fn() over as many calls as fill
+/// kWindowSeconds (at least one). A call of a few hundredths of a millisecond
+/// timed on its own is mostly scheduler noise; a window of them is a rate.
 template <typename F>
-double seconds_per_call(double window, F&& fn) {
+double seconds_per_call(F&& fn) {
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t calls = 0;
   std::chrono::duration<double> dt{};
@@ -160,7 +150,7 @@ double seconds_per_call(double window, F&& fn) {
     fn();
     ++calls;
     dt = std::chrono::steady_clock::now() - t0;
-  } while (dt.count() < window);
+  } while (dt.count() < kWindowSeconds);
   return dt.count() / static_cast<double>(calls);
 }
 
@@ -185,10 +175,8 @@ void record_speedup(const std::string& key, double base, double fast) {
 }
 
 /// Full vs TimingOnly vs NumericsOnly per kernel, with the equivalence
-/// checks the fast paths rely on. Each mode is timed over a 50 ms window of
-/// repeated calls, so the host columns are rates rather than one sample.
+/// checks the fast paths rely on.
 void mode_comparison() {
-  constexpr double kWindowSeconds = 0.05;
   TablePrinter table({"kernel", "full (ms)", "timing (ms)", "numerics (ms)",
                       "timing speedup", "numerics speedup", "numerics GFLOP/s",
                       "profile==full", "C==full"});
@@ -206,13 +194,13 @@ void mode_comparison() {
     const auto timing = gemm(algo, dev, A, B, timing_opt);
     const auto numer = gemm(algo, dev, A, B, numerics_opt);
 
-    const double t_full = seconds_per_call(kWindowSeconds, [&] {
+    const double t_full = seconds_per_call([&] {
       benchmark::DoNotOptimize(gemm(algo, dev, A, B, full_opt).profile.latency);
     });
-    const double t_timing = seconds_per_call(kWindowSeconds, [&] {
+    const double t_timing = seconds_per_call([&] {
       benchmark::DoNotOptimize(gemm(algo, dev, A, B, timing_opt).profile.latency);
     });
-    const double t_numer = seconds_per_call(kWindowSeconds, [&] {
+    const double t_numer = seconds_per_call([&] {
       benchmark::DoNotOptimize(gemm(algo, dev, A, B, numerics_opt).C.data());
     });
 
@@ -234,7 +222,8 @@ void mode_comparison() {
 /// Full-mode host cost over the Fig 8 square sweep (GH200 FP16, all three
 /// kernels): the data-plane throughput the SIMD fragment kernels and arena
 /// transfers buy. Cold is the first simulation of the shape (planning and
-/// arena growth included), warm the best of `reps` repeats. The equivalence
+/// arena growth included), timed as one call; warm is the mean call over
+/// the timing window, like every other host column. The equivalence
 /// columns assert that Full stayed profile-identical to TimingOnly and
 /// bit-identical to NumericsOnly; any "NO" fails the binary's exit code.
 ///
@@ -245,7 +234,7 @@ void mode_comparison() {
 /// `kami_prof diff`s it against the committed baseline: the logical columns,
 /// named in the report's exact_columns meta key, must match exactly, and the
 /// host ratio gets a wide tolerance.
-void fig08_full_sweep(int reps, bool smoke, obs::RunReport* gate) {
+void fig08_full_sweep(bool smoke, obs::RunReport* gate) {
   const auto& dev = sim::gh200();
   const std::vector<std::size_t> orders =
       smoke ? std::vector<std::size_t>{16, 32, 64}
@@ -283,10 +272,10 @@ void fig08_full_sweep(int reps, bool smoke, obs::RunReport* gate) {
 
       const auto timing = gemm(algo, dev, A, B, timing_opt);
       const auto numer = gemm(algo, dev, A, B, numerics_opt);
-      const double t_warm = best_seconds(reps, [&] {
+      const double t_warm = seconds_per_call([&] {
         benchmark::DoNotOptimize(gemm(algo, dev, A, B, full_opt).profile.latency);
       });
-      const double t_timing = best_seconds(reps, [&] {
+      const double t_timing = seconds_per_call([&] {
         benchmark::DoNotOptimize(gemm(algo, dev, A, B, timing_opt).profile.latency);
       });
 
@@ -318,7 +307,7 @@ void fig08_full_sweep(int reps, bool smoke, obs::RunReport* gate) {
 /// host time, with the Full profile checked against TimingOnly and the Full
 /// C against reference_gemm, bit for bit.
 template <Scalar T, typename Gemm>
-void baseline_point(TablePrinter& table, int reps, const std::string& kernel,
+void baseline_point(TablePrinter& table, const std::string& kernel,
                     const sim::DeviceSpec& dev, std::size_t n, Gemm&& gemm) {
   const std::string prec = precision_name(num_traits<T>::precision);
   Rng rng(n);
@@ -331,10 +320,10 @@ void baseline_point(TablePrinter& table, int reps, const std::string& kernel,
     return;
   }
   const auto timing = gemm(dev, A, B, sim::ExecMode::TimingOnly);
-  const double t_full = best_seconds(reps, [&] {
+  const double t_full = seconds_per_call([&] {
     benchmark::DoNotOptimize(gemm(dev, A, B, sim::ExecMode::Full).C.data());
   });
-  const double t_timing = best_seconds(reps, [&] {
+  const double t_timing = seconds_per_call([&] {
     benchmark::DoNotOptimize(gemm(dev, A, B, sim::ExecMode::TimingOnly).profile.latency);
   });
   const bool prof_eq = verify::profile_diff(timing.profile, full.profile).empty();
@@ -349,7 +338,7 @@ void baseline_point(TablePrinter& table, int reps, const std::string& kernel,
 /// problems) the host multiplies behind each simulated MMA. full/timing is
 /// what the data plane costs on top of the timing model. --smoke keeps the
 /// orders <= 64; any "NO" fails the binary's exit code.
-void baselines_full_cost(int reps, bool smoke) {
+void baselines_full_cost(bool smoke) {
   TablePrinter table({"kernel", "device", "precision", "order", "full (ms)", "timing (ms)",
                       "full/timing", "profile==timing", "C==reference"});
   const auto cutlass = [](const sim::DeviceSpec& dev, const auto& A, const auto& B,
@@ -366,22 +355,22 @@ void baselines_full_cost(int reps, bool smoke) {
   };
   for (const std::size_t n : {16u, 64u, 192u})
     if (!smoke || n <= 64)
-      baseline_point<fp16_t>(table, reps, "CUTLASS-like", sim::gh200(), n, cutlass);
+      baseline_point<fp16_t>(table, "CUTLASS-like", sim::gh200(), n, cutlass);
   if (!smoke)
-    baseline_point<fp8_e4m3_t>(table, reps, "CUTLASS-like", sim::rtx5090(), 256, cutlass);
+    baseline_point<fp8_e4m3_t>(table, "CUTLASS-like", sim::rtx5090(), 256, cutlass);
   for (const std::size_t n : {64u, 128u})
     if (!smoke || n <= 64)
-      baseline_point<fp16_t>(table, reps, "cuBLASDx-like", sim::gh200(), n, cublasdx);
+      baseline_point<fp16_t>(table, "cuBLASDx-like", sim::gh200(), n, cublasdx);
   for (const std::size_t n : {64u, 128u})
     if (!smoke || n <= 64)
-      baseline_point<fp16_t>(table, reps, "SYCL-Bench-like", sim::intel_max1100(), n,
+      baseline_point<fp16_t>(table, "SYCL-Bench-like", sim::intel_max1100(), n,
                              syclbench);
   bench::emit_table(table, "Baselines, Full-mode host cost");
 }
 
 /// Pre-split autotune (per-candidate Full on random operands) vs the cached
 /// TimingOnly path.
-void autotune_comparison(int reps) {
+void autotune_comparison() {
   const auto& dev = sim::gh200();
   const std::size_t n = 64;
 
@@ -407,13 +396,13 @@ void autotune_comparison(int reps) {
   };
 
   const double legacy_tflops = legacy();
-  const double t_legacy = best_seconds(reps, [&] { benchmark::DoNotOptimize(legacy()); });
-  const double t_cold = best_seconds(reps, [&] {
+  const double t_legacy = seconds_per_call([&] { benchmark::DoNotOptimize(legacy()); });
+  const double t_cold = seconds_per_call([&] {
     core::ProfileCache::global().clear();
     benchmark::DoNotOptimize(core::autotune_gemm<fp16_t>(dev, n, n, n).tflops);
   });
   const auto tuned = core::autotune_gemm<fp16_t>(dev, n, n, n);  // prime the cache
-  const double t_warm = best_seconds(reps, [&] {
+  const double t_warm = seconds_per_call([&] {
     benchmark::DoNotOptimize(core::autotune_gemm<fp16_t>(dev, n, n, n).tflops);
   });
 
@@ -433,7 +422,7 @@ void autotune_comparison(int reps) {
 }
 
 /// Pre-split batched execution (per-entry Full) vs the fast path.
-void batched_comparison(int reps, std::size_t batch) {
+void batched_comparison(std::size_t batch) {
   const auto& dev = sim::gh200();
   const std::size_t orders[] = {16, 32, 48};  // 3 distinct shapes in the batch
   std::vector<Matrix<fp16_t>> As, Bs;
@@ -462,12 +451,12 @@ void batched_comparison(int reps, std::size_t batch) {
     identical = bits_identical(fast.C[i], legacy_C[i]);
 
   const double t_legacy =
-      best_seconds(reps, [&] { benchmark::DoNotOptimize(legacy().size()); });
-  const double t_cold = best_seconds(reps, [&] {
+      seconds_per_call([&] { benchmark::DoNotOptimize(legacy().size()); });
+  const double t_cold = seconds_per_call([&] {
     core::ProfileCache::global().clear();
     benchmark::DoNotOptimize(core::kami_batched_gemm<fp16_t>(dev, As, Bs).C.size());
   });
-  const double t_warm = best_seconds(reps, [&] {
+  const double t_warm = seconds_per_call([&] {
     benchmark::DoNotOptimize(core::kami_batched_gemm<fp16_t>(dev, As, Bs).C.size());
   });
 
@@ -493,16 +482,16 @@ void batched_comparison(int reps, std::size_t batch) {
 }
 
 /// Raw cache lookup cost: one TimingOnly simulation vs a hit.
-void cache_comparison(int reps) {
+void cache_comparison() {
   const auto& dev = sim::gh200();
   auto& cache = core::ProfileCache::global();
-  const double t_cold = best_seconds(reps, [&] {
+  const double t_cold = seconds_per_call([&] {
     cache.clear();
     benchmark::DoNotOptimize(
         core::timing_profile<fp16_t>(cache, Algo::OneD, dev, 64, 64, 64).profile.latency);
   });
   (void)core::timing_profile<fp16_t>(cache, Algo::OneD, dev, 64, 64, 64);
-  const double t_warm = best_seconds(reps, [&] {
+  const double t_warm = seconds_per_call([&] {
     benchmark::DoNotOptimize(
         core::timing_profile<fp16_t>(cache, Algo::OneD, dev, 64, 64, 64).profile.latency);
   });
@@ -514,7 +503,6 @@ void cache_comparison(int reps) {
 }
 
 void run_harness(bool smoke, const std::string& gate_path) {
-  const int reps = smoke ? 1 : 5;
   const std::size_t batch = smoke ? 12 : 120;
   bench::run_report().set_meta("smoke", smoke ? "1" : "0");
   // Host configuration: absolute GFLOP/s numbers are meaningless without the
@@ -529,11 +517,11 @@ void run_harness(bool smoke, const std::string& gate_path) {
   obs::RunReport gate_report("sim_microbench_gate");
   obs::RunReport* gate = gate_path.empty() ? nullptr : &gate_report;
   mode_comparison();
-  fig08_full_sweep(reps, smoke, gate);
-  baselines_full_cost(reps, smoke);
-  autotune_comparison(reps);
-  batched_comparison(reps, batch);
-  cache_comparison(reps);
+  fig08_full_sweep(smoke, gate);
+  baselines_full_cost(smoke);
+  autotune_comparison();
+  batched_comparison(batch);
+  cache_comparison();
   if (gate != nullptr) {
     // `kami_prof diff` compares tables, not meta, so build-dependent values
     // here cannot trip the CI gate. It does read exact_columns from the

@@ -62,38 +62,25 @@ BaselineResult<T> cublasdx_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   }
 
   sim::ThreadBlock blk(dev, warps, mode);
-  auto SmA = blk.smem().alloc<T>(m, k);
-  auto SmB = blk.smem().alloc<T>(k, n);
-  auto SmC = blk.smem().alloc<T>(m, n);
-  (void)SmC;
+  (void)blk.smem().alloc<T>(m, k);
+  (void)blk.smem().alloc<T>(k, n);
+  (void)blk.smem().alloc<T>(m, n);
 
   const std::size_t row_chunk = m / p;
   const std::size_t kt = cublasdx_kstep(k);
 
   // Staging: warps cooperatively copy A and B into shared memory, one
   // stripe fragment at a time (real kernels stream this copy; holding both
-  // stripes at once would blow the register file at large orders).
+  // stripes at once would blow the register file at large orders). The main
+  // loop reads its operands from the source matrices, so the copy is
+  // charged, not performed.
   blk.phase([&](sim::Warp& w) {
     w.set_gmem_charging(charge_global_io);
-    const auto i = static_cast<std::size_t>(w.id());
-    {
-      auto a_stripe = w.alloc_fragment<T>(row_chunk, k);
-      w.load_global(a_stripe, A, i * row_chunk, 0);
-      sim::SmemTile<T> a_dst{SmA.byte_offset + i * row_chunk * k * sizeof(T), row_chunk,
-                             k};
-      w.store_smem(a_dst, a_stripe.view());
-    }
-    if (k % p == 0) {
-      const std::size_t kb = k / p;
-      auto b_stripe = w.alloc_fragment<T>(kb, n);
-      w.load_global(b_stripe, B, i * kb, 0);
-      sim::SmemTile<T> b_dst{SmB.byte_offset + i * kb * n * sizeof(T), kb, n};
-      w.store_smem(b_dst, b_stripe.view());
-    } else if (w.id() == 0) {
-      auto b_all = w.alloc_fragment<T>(k, n);
-      w.load_global(b_all, B, 0, 0);
-      w.store_smem(SmB, b_all.view());
-    }
+    charge_staging(w, w.alloc_fragment<T>(row_chunk, k));
+    if (k % p == 0)
+      charge_staging(w, w.alloc_fragment<T>(k / p, n));
+    else if (w.id() == 0)
+      charge_staging(w, w.alloc_fragment<T>(k, n));
   });
   blk.sync();
 

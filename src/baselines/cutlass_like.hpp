@@ -64,8 +64,8 @@ BaselineResult<T> cutlass_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   sim::ThreadBlock blk(dev, kWarps, mode);
   const std::size_t wm = tile.m / 2, wn = tile.n / 2;
 
-  auto SmA = blk.smem().alloc<T>(tile.m, tile.k);
-  auto SmB = blk.smem().alloc<T>(tile.k, tile.n);
+  (void)blk.smem().alloc<T>(tile.m, tile.k);
+  (void)blk.smem().alloc<T>(tile.k, tile.n);
   if (tile.stages > 1) {  // second pipeline stage buffer
     (void)blk.smem().alloc<T>(tile.m, tile.k);
     (void)blk.smem().alloc<T>(tile.k, tile.n);
@@ -86,24 +86,16 @@ BaselineResult<T> cutlass_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
 
       for (std::size_t step = 0; step < ksteps; ++step) {
         const std::size_t k0 = step * tile.k;
-        // Stage the full (padded) tile: warps split the copy.
+        // Stage the full (padded) tile: warps split the copy. The MMA phase
+        // reads its operands from the source matrices, so the copy is
+        // charged, not performed.
         blk.phase([&](sim::Warp& w) {
-          const auto i = static_cast<std::size_t>(w.id());
-          const std::size_t a_rows = tile.m / kWarps;
-          auto a_part = w.alloc_fragment<T>(a_rows, tile.k);
-          if (w.numerics_enabled()) stage_window(a_part, A, rbase + i * a_rows, k0);
+          auto a_part = w.alloc_fragment<T>(tile.m / kWarps, tile.k);
           w.charge_global_traffic_async(a_part.bytes());
-          sim::SmemTile<T> a_dst{SmA.byte_offset + i * a_rows * tile.k * sizeof(T),
-                                 a_rows, tile.k};
-          w.store_smem(a_dst, a_part.view());
-
-          const std::size_t b_rows = tile.k / kWarps;
-          auto b_part = w.alloc_fragment<T>(b_rows, tile.n);
-          if (w.numerics_enabled()) stage_window(b_part, B, k0 + i * b_rows, cbase);
+          w.charge_smem_write_traffic(a_part.bytes());
+          auto b_part = w.alloc_fragment<T>(tile.k / kWarps, tile.n);
           w.charge_global_traffic_async(b_part.bytes());
-          sim::SmemTile<T> b_dst{SmB.byte_offset + i * b_rows * tile.n * sizeof(T),
-                                 b_rows, tile.n};
-          w.store_smem(b_dst, b_part.view());
+          w.charge_smem_write_traffic(b_part.bytes());
         });
         blk.sync();
 

@@ -6,6 +6,8 @@
 // stage_window is that value copy: one memcpy per row of the in-bounds
 // part, and +0 in every padded element — the same row-granular movement
 // the KAMI kernels get from Warp::load_global. It charges nothing.
+// charge_staging is the other half: the cost of the kernel's global ->
+// shared staging copy, whose bytes nothing would read.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <cstring>
 
 #include "sim/fragment.hpp"
+#include "sim/warp.hpp"
 #include "types/matrix.hpp"
 
 namespace kami::baselines {
@@ -36,6 +39,16 @@ void stage_window(sim::Fragment<T>& dst, const Matrix<T>& src, std::size_t r0,
     std::fill(row + cols, row + dst.cols(), T{});
   }
   std::fill(dst.data() + rows * dst.cols(), dst.data() + dst.rows() * dst.cols(), T{});
+}
+
+/// Charge what staging `stripe` from global into shared memory costs, in
+/// the copy's order — Warp::load_global then Warp::store_smem, same cycles
+/// and counters — without copying: every operand is later read from the
+/// source matrices through stage_window. Honors the gmem-charging flag.
+template <Scalar T>
+void charge_staging(sim::Warp& w, const sim::Fragment<T>& stripe) {
+  w.charge_global_traffic(stripe.bytes());
+  w.charge_smem_write_traffic(stripe.bytes());
 }
 
 }  // namespace kami::baselines

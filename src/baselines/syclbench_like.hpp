@@ -36,30 +36,22 @@ BaselineResult<T> syclbench_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   }
 
   sim::ThreadBlock blk(dev, warps, mode);
-  auto SmA = blk.smem().alloc<T>(m, k);
-  auto SmB = blk.smem().alloc<T>(k, n);
+  (void)blk.smem().alloc<T>(m, k);
+  (void)blk.smem().alloc<T>(k, n);
   const std::size_t row_chunk = m / p;
   const std::size_t kt = k < 16 ? k : 16;
 
   // Stage A and B into local memory, streaming stripes so the staging
-  // buffers never exceed the register file.
+  // buffers never exceed the register file. The main loop reads its
+  // operands from the source matrices, so the copy is charged, not
+  // performed.
   blk.phase([&](sim::Warp& w) {
     w.set_gmem_charging(charge_global_io);
     const auto i = static_cast<std::size_t>(w.id());
-    {
-      auto stripe = w.alloc_fragment<T>(row_chunk, k);
-      w.load_global(stripe, A, i * row_chunk, 0);
-      sim::SmemTile<T> dst{SmA.byte_offset + i * row_chunk * k * sizeof(T), row_chunk, k};
-      w.store_smem(dst, stripe.view());
-    }
+    charge_staging(w, w.alloc_fragment<T>(row_chunk, k));
     // B row stripes round-robin over warps; 16-row chunks bound registers.
-    for (std::size_t r0 = i * 16; r0 < k; r0 += p * 16) {
-      const std::size_t rows = (r0 + 16 <= k) ? 16 : k - r0;
-      auto bchunk = w.alloc_fragment<T>(rows, n);
-      w.load_global(bchunk, B, r0, 0);
-      sim::SmemTile<T> dst{SmB.byte_offset + r0 * n * sizeof(T), rows, n};
-      w.store_smem(dst, bchunk.view());
-    }
+    for (std::size_t r0 = i * 16; r0 < k; r0 += p * 16)
+      charge_staging(w, w.alloc_fragment<T>((r0 + 16 <= k) ? 16 : k - r0, n));
   });
   blk.sync();
 

@@ -1,18 +1,10 @@
 #include "obs/report.hpp"
 
-#include <cmath>
 #include <ostream>
 
 #include "util/table.hpp"
 
 namespace kami::obs {
-
-double UtilizationTimeline::busy_cycles(std::size_t resource) const {
-  KAMI_REQUIRE(resource < busy.size());
-  double acc = 0.0;
-  for (const double frac : busy[resource]) acc += frac * bucket_cycles;
-  return acc;
-}
 
 void RunReport::set_meta(std::string key, std::string value) {
   for (auto& [k, v] : meta_) {
@@ -86,23 +78,6 @@ Json RunReport::to_json() const {
 
   if (!metrics_.is_null()) doc.set("metrics", metrics_);
   if (!slo_.is_null()) doc.set("slo", slo_);
-
-  if (utilization_) {
-    Json ju = Json::object();
-    ju.set("bucket_cycles", utilization_->bucket_cycles);
-    ju.set("wall_cycles", utilization_->wall_cycles);
-    Json resources = Json::array();
-    for (std::size_t r = 0; r < utilization_->resources.size(); ++r) {
-      Json jr = Json::object();
-      jr.set("name", utilization_->resources[r]);
-      Json busy = Json::array();
-      for (const double frac : utilization_->busy[r]) busy.push_back(frac);
-      jr.set("busy", std::move(busy));
-      resources.push_back(std::move(jr));
-    }
-    ju.set("resources", std::move(resources));
-    doc.set("utilization", std::move(ju));
-  }
   return doc;
 }
 
@@ -157,19 +132,6 @@ RunReport RunReport::from_json(const Json& doc) {
 
   if (const Json* metrics = doc.find("metrics")) report.metrics_ = *metrics;
   if (const Json* slo = doc.find("slo")) report.slo_ = *slo;
-
-  if (const Json* ju = doc.find("utilization")) {
-    UtilizationTimeline u;
-    u.bucket_cycles = ju->at("bucket_cycles").as_number();
-    u.wall_cycles = ju->at("wall_cycles").as_number();
-    for (const auto& jr : ju->at("resources").as_array()) {
-      u.resources.push_back(jr.at("name").as_string());
-      std::vector<double> busy;
-      for (const auto& frac : jr.at("busy").as_array()) busy.push_back(frac.as_number());
-      u.busy.push_back(std::move(busy));
-    }
-    report.set_utilization(std::move(u));
-  }
   return report;
 }
 

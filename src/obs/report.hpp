@@ -1,9 +1,8 @@
 // RunReport: the machine-readable artifact of one benchmark or profiling
-// run — the tables a binary printed, structured cycle breakdowns, a metric
-// snapshot, and an optional utilization timeline — with a stable, versioned
-// JSON schema ("kami.obs.run", version 2) so exported runs can be reloaded,
-// reprinted, and diffed by `tools/kami_prof` long after the code that
-// produced them has changed.
+// run — the tables a binary printed, structured cycle breakdowns, and a
+// metric snapshot — with a stable, versioned JSON schema ("kami.obs.run",
+// version 2) so exported runs can be reloaded, reprinted, and diffed by
+// `tools/kami_prof` long after the code that produced them has changed.
 //
 // Schema v2 (all sections except schema/schema_version/name are optional):
 //   {
@@ -15,8 +14,6 @@
 //     "breakdowns": [{"name": str,
 //                     "categories": [{"name": str, "cycles": num}]}],
 //     "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
-//     "utilization": {"bucket_cycles": num, "wall_cycles": num,
-//                     "resources": [{"name": str, "busy": [num]}]},
 //     "slo": {"classes": [{"class": str, "requests": num, ...,
 //                          "latency_cycles": {count, mean, p50, p90, p99,
 //                          max}}]}   (v2; serve::SloTracker::to_json)
@@ -24,13 +21,12 @@
 // v2 adds the optional "slo" section (per-shape-class SLO attainment from
 // the serving layer); v1 documents, which simply lack it, still load.
 // Readers skip keys they do not know, so documents that still carry the
-// retired "regions" section load too.
+// retired "regions" or "utilization" sections load too.
 // Table cells are stored as the exact strings the text table printed, so a
 // reload reproduces the human output byte for byte.
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,19 +71,6 @@ struct Breakdown {
   }
 };
 
-/// Per-resource busy fraction per time bucket; plain data so the report
-/// layer stays independent of the simulator (trace_analysis.hpp fills it
-/// from a sim::Trace).
-struct UtilizationTimeline {
-  double bucket_cycles = 0.0;
-  double wall_cycles = 0.0;
-  std::vector<std::string> resources;
-  std::vector<std::vector<double>> busy;  ///< [resource][bucket], in [0, 1]
-
-  /// Busy cycles of one resource (sum over buckets x bucket width).
-  double busy_cycles(std::size_t resource) const;
-};
-
 class RunReport {
  public:
   explicit RunReport(std::string name) : name_(std::move(name)) {}
@@ -112,11 +95,6 @@ class RunReport {
   void set_metrics(const MetricRegistry& registry) { metrics_ = registry.to_json(); }
   const Json& metrics() const noexcept { return metrics_; }
 
-  void set_utilization(UtilizationTimeline u) { utilization_ = std::move(u); }
-  const std::optional<UtilizationTimeline>& utilization() const noexcept {
-    return utilization_;
-  }
-
   /// Per-shape-class SLO accounting (v2); pass serve::SloTracker::to_json().
   void set_slo(Json slo) { slo_ = std::move(slo); }
   const Json& slo() const noexcept { return slo_; }
@@ -135,7 +113,6 @@ class RunReport {
   std::vector<Breakdown> breakdowns_;
   Json metrics_;  // null when never set
   Json slo_;      // null when never set (v2 section)
-  std::optional<UtilizationTimeline> utilization_;
 };
 
 }  // namespace kami::obs

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/device.hpp"
@@ -23,12 +24,16 @@ namespace kami::sim {
 
 class ThreadBlock {
  public:
+  /// A block exists to time, so it refuses NumericsOnly: that mode runs
+  /// core::numeric_gemm and never builds a block.
   ThreadBlock(const DeviceSpec& dev, int num_warps, ExecMode mode = ExecMode::Full)
       : dev_(&dev),
-        mode_(mode),
         smem_(dev.smem_bytes_per_block, dev.smem_bytes_per_cycle(), dev.smem_latency_cycles,
               mode),
         tc_(static_cast<std::size_t>(dev.tensor_cores_per_sm)) {
+    KAMI_REQUIRE(mode != ExecMode::NumericsOnly,
+                 std::string("a ThreadBlock always times; ") + exec_mode_name(mode) +
+                     " never builds one");
     KAMI_REQUIRE(num_warps >= 1 && num_warps <= 64, "warp count out of range");
     warps_.reserve(static_cast<std::size_t>(num_warps));
     for (int w = 0; w < num_warps; ++w)
@@ -41,7 +46,6 @@ class ThreadBlock {
   ThreadBlock& operator=(const ThreadBlock&) = delete;
 
   const DeviceSpec& device() const noexcept { return *dev_; }
-  ExecMode mode() const noexcept { return mode_; }
 
   /// Arm every warp's cycle-budget watchdog (GemmOptions::deadline_cycles);
   /// 0 disarms. See sim/deadline.hpp.
@@ -64,7 +68,6 @@ class ThreadBlock {
   /// __syncthreads: advance every warp to the block-wide maximum clock plus
   /// the barrier's own latency.
   void sync() {
-    if (!mode_times(mode_)) return;
     Cycles t = 0.0;
     for (const auto& w : warps_)
       if (w->clock() > t) t = w->clock();
@@ -136,7 +139,6 @@ class ThreadBlock {
 
  private:
   const DeviceSpec* dev_;
-  ExecMode mode_;
   SharedMemory smem_;
   UnitPool tc_;
   PortTimeline gmem_port_;

@@ -11,9 +11,12 @@
 //                 Profiles and sim.* metrics are bit-identical to Full
 //                 because every charge depends only on shapes, byte counts,
 //                 and phase structure — never on values.
-//   NumericsOnly— arithmetic only; clocks, port arbitration, metrics, and
-//                 trace recording are all skipped, so results are
-//                 bit-identical to Full at a fraction of the host cost.
+//   NumericsOnly— arithmetic only, and only at the front door: the KAMI
+//                 kernels plan and then return core::numeric_gemm, so the
+//                 mode never reaches a block. A sim::ThreadBlock always
+//                 times and refuses it; batched GEMM refuses it too.
+//
+// Inside the simulator, mode_computes is the one question a mode answers.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +29,6 @@ enum class ExecMode : std::uint8_t { Full, TimingOnly, NumericsOnly };
 /// place that decides whether a block's shared memory and fragments hold
 /// bytes.
 constexpr bool mode_computes(ExecMode m) noexcept { return m != ExecMode::TimingOnly; }
-
-/// Does this mode charge cycles / record traces / publish sim metrics?
-constexpr bool mode_times(ExecMode m) noexcept { return m != ExecMode::NumericsOnly; }
 
 constexpr const char* exec_mode_name(ExecMode m) noexcept {
   switch (m) {

@@ -2,7 +2,7 @@
 // and a single data port whose occupancy models banked bandwidth B_sm with
 // bank-conflict factors theta_r / theta_w (Table 2).
 //
-// In a mode that moves data (Full, NumericsOnly) the store holds real bytes —
+// In Full, the one block mode that moves data, the store holds real bytes —
 // a kernel that reads a tile before any warp wrote it gets zeros and fails the
 // numerical checks, so communication bugs are caught by correctness tests, not
 // just by cycle counts. In TimingOnly no cycle depends on a value, so the

@@ -115,11 +115,12 @@ struct PendingWarpMetrics {
 
 class Warp {
  public:
-  /// `mode` selects which halves of each op run (see sim/exec_mode.hpp) and
-  /// is fixed for the warp's life, so a fragment never outlives the mode it
-  /// was allocated in. Shape checks and fragment/smem allocations stay active
-  /// in every mode so feasibility errors are mode-independent. `metrics` is
-  /// the owning block's handle set and must outlive the warp.
+  /// Every op charges cycles; `mode` only selects whether it also moves data
+  /// (sim::mode_computes) and is fixed for the warp's life, so a fragment
+  /// never outlives the mode it was allocated in. Shape checks and
+  /// fragment/smem allocations stay active in every mode so feasibility
+  /// errors are mode-independent. `metrics` is the owning block's handle set
+  /// and must outlive the warp.
   Warp(int id, const DeviceSpec& dev, ExecMode mode, const WarpMetricHandles& metrics,
        SharedMemory& smem, UnitPool& tensor_cores, PortTimeline& gmem_port,
        PortTimeline& vector_pipe)
@@ -131,8 +132,7 @@ class Warp {
         vector_pipe_(&vector_pipe),
         regs_(dev.reg_bytes_per_warp(), mode),
         metrics_(metrics),
-        numerics_(mode_computes(mode)),
-        timing_(mode_times(mode)) {}
+        numerics_(mode_computes(mode)) {}
 
   ~Warp() { flush_metrics(); }
   Warp(const Warp&) = delete;
@@ -141,7 +141,6 @@ class Warp {
   int id() const noexcept { return id_; }
 
   bool numerics_enabled() const noexcept { return numerics_; }
-  bool timing_enabled() const noexcept { return timing_; }
 
   /// Arm the cycle-budget watchdog: once this warp's clock passes `cycles`,
   /// the op that crossed it throws sim::DeadlineExceeded. 0 disarms. Clock
@@ -191,7 +190,6 @@ class Warp {
     KAMI_REQUIRE(src.rows() == dst.rows && src.cols() == dst.cols,
                  "smem tile shape mismatch");
     if (numerics_) copy_view_to_smem(dst, src);
-    if (!timing_) return;
     const Cycles occ = smem_->transfer_occupancy(src.bytes(), theta_w) +
                        dev_->smem_transaction_overhead_cycles;
     const Cycles issue = clock_;
@@ -208,7 +206,6 @@ class Warp {
     KAMI_REQUIRE(dst.rows() == src.rows && dst.cols() == src.cols,
                  "smem tile shape mismatch");
     if (numerics_) smem_->read(src, dst.data(), dst.rows() * dst.cols());
-    if (!timing_) return;
     const Cycles occ = smem_->transfer_occupancy(dst.bytes(), theta_r) +
                        dev_->smem_transaction_overhead_cycles;
     const Cycles issue = clock_;
@@ -230,7 +227,6 @@ class Warp {
       // views of the same fragment.
       for (std::size_t r = 0; r < src.rows(); ++r)
         std::memmove(dst.row_data(r), src.row(r), src.cols() * sizeof(T));
-    if (!timing_) return;
     const Cycles issue = clock_;
     advance(clock_ + 1.0 + static_cast<double>(src.bytes()) / dev_->reg_bytes_per_cycle,
             bd_.reg_copy);
@@ -351,7 +347,6 @@ class Warp {
   /// addressing in sparse kernels); accounted under compute.
   void charge_overhead(Cycles cycles) {
     KAMI_ASSERT(cycles >= 0.0);
-    if (!timing_) return;
     const Cycles issue = clock_;
     advance(clock_ + cycles, bd_.compute);
     record(OpKind::Overhead, issue, issue, cycles);
@@ -374,7 +369,7 @@ class Warp {
   /// but hides the access latency behind the software pipeline, as
   /// multi-stage mainloops do. Honors the gmem-charging flag.
   void charge_global_traffic_async(std::size_t bytes) {
-    if (!timing_ || !gmem_charging_) return;
+    if (!gmem_charging_) return;
     const Cycles occ = static_cast<double>(bytes) / dev_->gmem_bytes_per_cycle_per_sm;
     const Cycles start = gmem_port_->acquire(clock_, occ);
     advance(start + occ, bd_.gmem);
@@ -383,7 +378,6 @@ class Warp {
 
   /// Account a shared-memory write without a fragment source.
   void charge_smem_write_traffic(std::size_t bytes, double theta_w = 1.0) {
-    if (!timing_) return;
     const Cycles occ = smem_->transfer_occupancy(bytes, theta_w) +
                        dev_->smem_transaction_overhead_cycles;
     const Cycles start = smem_->port().acquire(clock_, occ);
@@ -396,7 +390,6 @@ class Warp {
   /// tile — used by baseline kernels whose strided smem views the tile
   /// abstraction does not model.
   void charge_smem_read_traffic(std::size_t bytes, double theta_r = 1.0) {
-    if (!timing_) return;
     const Cycles occ = smem_->transfer_occupancy(bytes, theta_r) +
                        dev_->smem_transaction_overhead_cycles;
     const Cycles start = smem_->port().acquire(clock_, occ);
@@ -408,7 +401,6 @@ class Warp {
   // -- used by ThreadBlock ------------------------------------------------------
 
   void wait_until(Cycles t) {
-    if (!timing_) return;
     if (t > clock_) {
       const Cycles issue = clock_;
       bd_.sync_wait += t - clock_;
@@ -450,7 +442,6 @@ class Warp {
   }
 
   void charge_mma(Precision p, std::size_t fm, std::size_t fn, std::size_t fk) {
-    if (!timing_) return;
     const MmaShape s = dev_->mma_shape(p);
     const auto ceil_div = [](std::size_t a, std::size_t b) { return (a + b - 1) / b; };
     const double instrs = static_cast<double>(ceil_div(fm, static_cast<std::size_t>(s.m)) *
@@ -467,7 +458,6 @@ class Warp {
   }
 
   void charge_vector_flops(double flops, Precision p = Precision::FP32) {
-    if (!timing_) return;
     // The vector pipe is one shared timeline at the per-SM aggregate rate.
     const double rate = dev_->vector_flops_per_cycle(p);
     KAMI_REQUIRE(rate > 0.0, "device has no vector pipe for this precision");
@@ -480,7 +470,7 @@ class Warp {
   }
 
   void charge_gmem(std::size_t bytes, OpKind kind) {
-    if (!timing_ || !gmem_charging_) return;
+    if (!gmem_charging_) return;
     const Cycles occ = static_cast<double>(bytes) / dev_->gmem_bytes_per_cycle_per_sm;
     const Cycles issue = clock_;
     const Cycles start = gmem_port_->acquire(clock_, occ);
@@ -602,7 +592,6 @@ class Warp {
   Cycles deadline_ = 0.0;  ///< 0 = no cycle budget
   CycleBreakdown bd_;
   const bool numerics_;
-  const bool timing_;
   bool gmem_charging_ = true;
   Trace* trace_ = nullptr;
 };

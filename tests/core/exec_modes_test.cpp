@@ -10,7 +10,8 @@
 //   * the sim.* counters and gauges a run publishes are identical in Full
 //     and TimingOnly, although a TimingOnly block holds no data plane.
 // Checked across the 1D/2D/3D x device x precision grid, spill ratios,
-// charged global I/O, and the block-level baselines.
+// charged global I/O, and the block-level baselines, which time in Full and
+// TimingOnly and refuse NumericsOnly (a ThreadBlock always times).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -218,46 +219,45 @@ TEST(ExecModes, TimingOnlyThrowsSameAsFull) {
 // Baselines honour the modes too
 // ---------------------------------------------------------------------------
 
+/// Full and TimingOnly time a baseline identically; NumericsOnly is refused,
+/// by name, by the ThreadBlock the baseline builds.
+template <typename Call>
+void expect_baseline_modes(Call&& call) {
+  const auto full = call(sim::ExecMode::Full);
+  expect_profile_identical(call(sim::ExecMode::TimingOnly).profile, full.profile);
+  try {
+    (void)call(sim::ExecMode::NumericsOnly);
+    ADD_FAILURE() << "NumericsOnly must be refused";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("numerics_only"), std::string::npos) << e.what();
+  }
+}
+
 TEST(ExecModes, CublasdxBaseline) {
   Rng rng(11);
   const auto A = random_matrix<fp16_t>(32, 32, rng);
   const auto B = random_matrix<fp16_t>(32, 32, rng);
-  const auto full = baselines::cublasdx_gemm(sim::gh200(), A, B);
-  const auto timing = baselines::cublasdx_gemm(sim::gh200(), A, B, 4, false,
-                                               sim::ExecMode::TimingOnly);
-  const auto numer = baselines::cublasdx_gemm(sim::gh200(), A, B, 4, false,
-                                              sim::ExecMode::NumericsOnly);
-  expect_profile_identical(timing.profile, full.profile);
-  EXPECT_TRUE(bits_equal(numer.C, full.C));
+  expect_baseline_modes([&](sim::ExecMode mode) {
+    return baselines::cublasdx_gemm(sim::gh200(), A, B, 4, false, mode);
+  });
 }
 
 TEST(ExecModes, CutlassBaseline) {
   Rng rng(13);
   const auto A = random_matrix<fp16_t>(48, 48, rng);
   const auto B = random_matrix<fp16_t>(48, 48, rng);
-  const auto full = baselines::cutlass_gemm(sim::gh200(), A, B, true);
-  const auto timing =
-      baselines::cutlass_gemm(sim::gh200(), A, B, true, nullptr,
-                              sim::ExecMode::TimingOnly);
-  const auto numer =
-      baselines::cutlass_gemm(sim::gh200(), A, B, true, nullptr,
-                              sim::ExecMode::NumericsOnly);
-  expect_profile_identical(timing.profile, full.profile);
-  EXPECT_TRUE(bits_equal(numer.C, full.C));
+  expect_baseline_modes([&](sim::ExecMode mode) {
+    return baselines::cutlass_gemm(sim::gh200(), A, B, true, nullptr, mode);
+  });
 }
 
 TEST(ExecModes, SyclbenchBaseline) {
   Rng rng(17);
   const auto A = random_matrix<fp16_t>(32, 32, rng);
   const auto B = random_matrix<fp16_t>(32, 32, rng);
-  const auto& dev = sim::intel_max1100();
-  const auto full = baselines::syclbench_gemm(dev, A, B);
-  const auto timing =
-      baselines::syclbench_gemm(dev, A, B, 4, false, sim::ExecMode::TimingOnly);
-  const auto numer =
-      baselines::syclbench_gemm(dev, A, B, 4, false, sim::ExecMode::NumericsOnly);
-  expect_profile_identical(timing.profile, full.profile);
-  EXPECT_TRUE(bits_equal(numer.C, full.C));
+  expect_baseline_modes([&](sim::ExecMode mode) {
+    return baselines::syclbench_gemm(sim::intel_max1100(), A, B, 4, false, mode);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -318,9 +318,28 @@ TEST(ExecModes, SimMetricsMatchFullInTimingOnly) {
   });
 }
 
+/// A block baseline's sim.* values and profile footprint, pinned as literals
+/// in Full and in TimingOnly. `run(mode)` returns the baseline's profile.
+template <typename Run>
+void expect_pinned_baseline(const std::string& kernel, Run&& run, double latency,
+                            std::size_t smem_bytes, std::size_t reg_bytes_per_warp,
+                            const std::map<std::string, double>& expected) {
+  for (const auto mode : {sim::ExecMode::Full, sim::ExecMode::TimingOnly}) {
+    SCOPED_TRACE(kernel + " " + sim::exec_mode_name(mode));
+    sim::KernelProfile profile;
+    EXPECT_EQ(sim_metrics([&](sim::ExecMode m) { profile = run(m); }, mode), expected);
+    EXPECT_EQ(profile.latency, latency);
+    EXPECT_EQ(profile.smem_bytes, smem_bytes);
+    EXPECT_EQ(profile.reg_bytes_per_warp, reg_bytes_per_warp);
+  }
+}
+
 // One small point's values, recorded from the simulator when every warp
 // still resolved its own metric handles: sharing one handle set per block
-// must not move a sum.
+// must not move a sum. The block baselines' values, with global I/O charged,
+// were recorded while their staging phase still copied A and B into shared
+// memory: charging that copy without performing it must not move a sum
+// either.
 TEST(ExecModes, SimMetricsPinnedAtOneSmallPoint) {
   Rng rng(31);
   const auto A = random_matrix<fp16_t>(32, 32, rng);
@@ -351,6 +370,79 @@ TEST(ExecModes, SimMetricsPinnedAtOneSmallPoint) {
     };
     EXPECT_EQ(sim_metrics(run, mode), expected) << sim::exec_mode_name(mode);
   }
+
+  expect_pinned_baseline(
+      "cuBLASDx-like",
+      [&](sim::ExecMode m) {
+        return baselines::cublasdx_gemm(sim::gh200(), A, B, 4, true, m).profile;
+      },
+      3973.3799306767864, 6144, 2304,
+      {
+          {"sim.block.reg_high_water_bytes", 2304},
+          {"sim.block.smem_high_water_bytes", 6144},
+          {"sim.block.syncs", 4},
+          {"sim.gmem.bytes_loaded", 4096},
+          {"sim.gmem.bytes_stored", 2048},
+          {"sim.mma.flops", 131072},
+          {"sim.mma.instructions", 32},
+          {"sim.reg.bytes_copied", 0},
+          {"sim.smem.bytes_read", 10240},
+          {"sim.smem.bytes_written", 6144},
+          {"sim.smem.conflict_excess_cycles", 0},
+          {"sim.smem.conflicted_transfers", 0},
+          {"sim.smem.high_water_bytes", 6144},
+          {"sim.smem.tile_allocs", 3},
+          {"sim.sync.wait_cycles", 4478.35294117647},
+          {"sim.vector.flops", 0},
+      });
+  expect_pinned_baseline(
+      "CUTLASS-like",
+      [&](sim::ExecMode m) {
+        return baselines::cutlass_gemm(sim::gh200(), A, B, true, nullptr, m).profile;
+      },
+      2950.1963081593926, 32768, 24576,
+      {
+          {"sim.block.reg_high_water_bytes", 24576},
+          {"sim.block.smem_high_water_bytes", 32768},
+          {"sim.block.syncs", 3},
+          {"sim.gmem.bytes_loaded", 16384},
+          {"sim.gmem.bytes_stored", 2048},
+          {"sim.mma.flops", 1048576},
+          {"sim.mma.instructions", 256},
+          {"sim.reg.bytes_copied", 0},
+          {"sim.smem.bytes_read", 65536},
+          {"sim.smem.bytes_written", 49152},
+          {"sim.smem.conflict_excess_cycles", 0},
+          {"sim.smem.conflicted_transfers", 0},
+          {"sim.smem.high_water_bytes", 32768},
+          {"sim.smem.tile_allocs", 4},
+          {"sim.sync.wait_cycles", 3537.8431372549016},
+          {"sim.vector.flops", 0},
+      });
+  expect_pinned_baseline(
+      "SYCL-Bench-like",
+      [&](sim::ExecMode m) {
+        return baselines::syclbench_gemm(sim::intel_max1100(), A, B, 4, true, m).profile;
+      },
+      14109.333333333336, 4096, 2304,
+      {
+          {"sim.block.reg_high_water_bytes", 2304},
+          {"sim.block.smem_high_water_bytes", 4096},
+          {"sim.block.syncs", 4},
+          {"sim.gmem.bytes_loaded", 4096},
+          {"sim.gmem.bytes_stored", 2048},
+          {"sim.mma.flops", 0},
+          {"sim.mma.instructions", 0},
+          {"sim.reg.bytes_copied", 0},
+          {"sim.smem.bytes_read", 10240},
+          {"sim.smem.bytes_written", 4096},
+          {"sim.smem.conflict_excess_cycles", 0},
+          {"sim.smem.conflicted_transfers", 0},
+          {"sim.smem.high_water_bytes", 4096},
+          {"sim.smem.tile_allocs", 2},
+          {"sim.sync.wait_cycles", 17202.222222222226},
+          {"sim.vector.flops", 65536},
+      });
 }
 
 // ---------------------------------------------------------------------------

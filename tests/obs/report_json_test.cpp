@@ -30,13 +30,6 @@ RunReport sample_report() {
   metrics.gauge("sim.smem.high_water_bytes").set(4096.0);
   metrics.histogram("planner.reg_demand_bytes").observe(192.0);
   report.set_metrics(metrics);
-
-  UtilizationTimeline u;
-  u.bucket_cycles = 2.0;
-  u.wall_cycles = 8.0;
-  u.resources = {"smem_port", "tensor_core"};
-  u.busy = {{1.0, 0.5, 0.0, 0.0}, {0.0, 0.25, 0.25, 0.0}};
-  report.set_utilization(std::move(u));
   return report;
 }
 
@@ -46,9 +39,13 @@ TEST(RunReport, JsonRoundTripPreservesEverything) {
   std::ostringstream os;
   report.write_json(os);
   Json doc = Json::parse(os.str());
-  // Documents written before the "regions" section was retired still load.
+  // Documents written before the "regions" and "utilization" sections were
+  // retired still load.
   doc.set("regions", Json::parse(R"([{"name":"kernel","count":1,"total_cycles":8,)"
                                  R"("self_cycles":8}])"));
+  doc.set("utilization", Json::parse(R"({"bucket_cycles":2,"wall_cycles":8,)"
+                                     R"("resources":[{"name":"smem_port",)"
+                                     R"("busy":[1,0.5,0,0]}]})"));
   const RunReport back = RunReport::from_json(doc);
 
   EXPECT_EQ(back.name(), "unit");
@@ -72,13 +69,9 @@ TEST(RunReport, JsonRoundTripPreservesEverything) {
 
   EXPECT_DOUBLE_EQ(
       back.metrics().at("counters").at("sim.mma.issued").as_number(), 12.0);
-
-  ASSERT_TRUE(back.utilization().has_value());
-  const UtilizationTimeline& u = *back.utilization();
-  EXPECT_DOUBLE_EQ(u.bucket_cycles, 2.0);
-  EXPECT_DOUBLE_EQ(u.wall_cycles, 8.0);
-  ASSERT_EQ(u.resources.size(), 2u);
-  EXPECT_DOUBLE_EQ(u.busy_cycles(0), 3.0);  // (1.0 + 0.5) * 2 cycles
+  // The legacy sections are skipped, not carried: writing the reloaded run
+  // gives back the document as it was before they were added.
+  EXPECT_EQ(back.to_json().dump(), report.to_json().dump());
 }
 
 TEST(RunReport, GoldenSchemaShape) {
@@ -92,7 +85,9 @@ TEST(RunReport, GoldenSchemaShape) {
   EXPECT_NE(doc.find("tables"), nullptr);
   EXPECT_NE(doc.find("breakdowns"), nullptr);
   EXPECT_NE(doc.find("metrics"), nullptr);
-  EXPECT_NE(doc.find("utilization"), nullptr);
+  // Retired sections are never written.
+  EXPECT_EQ(doc.find("regions"), nullptr);
+  EXPECT_EQ(doc.find("utilization"), nullptr);
 
   const Json& table = doc.at("tables").at(std::size_t{0});
   EXPECT_NE(table.find("title"), nullptr);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "../testing/test_device.hpp"
@@ -71,6 +72,18 @@ TEST(Block, SyncAlignsClocksAndRecordsWait) {
   blk.sync();
   EXPECT_DOUBLE_EQ(blk.warp(1).clock(), 14.0);
   EXPECT_DOUBLE_EQ(blk.warp(1).breakdown().sync_wait, 14.0);
+}
+
+// A block exists to time: NumericsOnly runs core::numeric_gemm instead, so
+// the constructor refuses it, by name.
+TEST(Block, RefusesNumericsOnly) {
+  const auto dev = tiny_device();
+  try {
+    ThreadBlock blk(dev, 1, ExecMode::NumericsOnly);
+    ADD_FAILURE() << "a NumericsOnly ThreadBlock must be refused";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("numerics_only"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Warp, MmaComputesExactProduct) {

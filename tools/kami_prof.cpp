@@ -1,7 +1,7 @@
 // kami_prof: load an exported kami.obs.run JSON file and report on it.
 //
-//   kami_prof report <run.json>            print tables (verbatim), breakdowns,
-//                                          metrics, and utilization
+//   kami_prof report <run.json>            print tables (verbatim), breakdowns
+//                                          and metrics
 //   kami_prof diff <a.json> <b.json> [--tolerance <pct>]
 //                                          numeric deltas between two runs;
 //                                          with --tolerance, exit nonzero when
@@ -108,19 +108,6 @@ void cmd_report(const RunReport& run) {
       }
     }
     std::cout << "\n";
-  }
-
-  if (run.utilization()) {
-    const auto& u = *run.utilization();
-    std::cout << "== Utilization (wall " << kami::obs::json_number(u.wall_cycles)
-              << " cycles) ==\n";
-    for (std::size_t r = 0; r < u.resources.size(); ++r) {
-      const double busy = u.busy_cycles(r);
-      const double pct = u.wall_cycles > 0.0 ? 100.0 * busy / u.wall_cycles : 0.0;
-      std::cout << "  " << u.resources[r] << ": busy "
-                << kami::obs::json_number(std::round(busy)) << " cyc ("
-                << kami::fmt_double(pct, 1) << "%)\n";
-    }
   }
 }
 
