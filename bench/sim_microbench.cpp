@@ -4,13 +4,14 @@
 //
 // The default run is a wall-clock comparison harness for the execution-mode
 // split and the profile cache:
-//   * Full vs TimingOnly vs NumericsOnly per kernel (with bit-equivalence
-//     checks alongside the timings);
-//   * autotune: the pre-split path (one Full simulation per candidate on
-//     random operands) vs the cached TimingOnly path, cold and warm;
+//   * the element data plane (verify::data_plane_gemm) vs the front door's
+//     Full, TimingOnly and NumericsOnly per kernel, with every mode's profile
+//     and C checked against the data plane alongside the timings;
+//   * autotune: the pre-split path (one data-plane simulation per candidate
+//     on random operands) vs the cached TimingOnly path, cold and warm;
 //   * the block baselines' Full-mode host cost against TimingOnly (with
 //     profile and bit-for-bit reference checks alongside);
-//   * batched: the pre-split per-entry Full loop vs the fast path (one
+//   * batched: the pre-split per-entry data-plane loop vs the fast path (one
 //     cached TimingOnly profile per distinct shape + NumericsOnly values);
 //   * ProfileCache cold miss vs warm hit.
 // It prints tables and exports a kami.obs.run report via --json (the
@@ -34,6 +35,7 @@
 #include "core/numeric_path.hpp"
 #include "core/profile_cache.hpp"
 #include "model/cost_model.hpp"
+#include "verify/data_plane.hpp"
 #include "verify/differential.hpp"
 
 namespace kami {
@@ -55,7 +57,7 @@ void BM_Kami1dBlock(benchmark::State& state) {
   const auto A = random_matrix<T>(n, n, rng);
   const auto B = random_matrix<T>(n, n, rng);
   for (auto _ : state) {
-    auto r = core::kami_1d_gemm(sim::gh200(), A, B);
+    auto r = verify::data_plane_gemm(Algo::OneD, sim::gh200(), A, B);
     benchmark::DoNotOptimize(r.profile.latency);
   }
   state.SetItemsProcessed(state.iterations());
@@ -88,7 +90,7 @@ void BM_Kami2dBlock(benchmark::State& state) {
   const auto A = random_matrix<fp16_t>(n, n, rng);
   const auto B = random_matrix<fp16_t>(n, n, rng);
   for (auto _ : state) {
-    auto r = core::kami_2d_gemm(sim::gh200(), A, B);
+    auto r = verify::data_plane_gemm(Algo::TwoD, sim::gh200(), A, B);
     benchmark::DoNotOptimize(r.profile.latency);
   }
 }
@@ -100,7 +102,7 @@ void BM_Kami3dBlock(benchmark::State& state) {
   const auto A = random_matrix<fp16_t>(n, n, rng);
   const auto B = random_matrix<fp16_t>(n, n, rng);
   for (auto _ : state) {
-    auto r = core::kami_3d_gemm(sim::gh200(), A, B);
+    auto r = verify::data_plane_gemm(Algo::ThreeD, sim::gh200(), A, B);
     benchmark::DoNotOptimize(r.profile.latency);
   }
 }
@@ -174,12 +176,14 @@ void record_speedup(const std::string& key, double base, double fast) {
   if (fast > 0.0) bench::run_report().set_meta(key, fmt_double(base / fast, 2));
 }
 
-/// Full vs TimingOnly vs NumericsOnly per kernel, with the equivalence
-/// checks the fast paths rely on.
+/// The data plane vs the front door's Full, TimingOnly and NumericsOnly per
+/// kernel. profile==full checks Full's and TimingOnly's profiles against the
+/// data plane's, C==full Full's and NumericsOnly's C; the speedups are over
+/// the data plane.
 void mode_comparison() {
-  TablePrinter table({"kernel", "full (ms)", "timing (ms)", "numerics (ms)",
-                      "timing speedup", "numerics speedup", "numerics GFLOP/s",
-                      "profile==full", "C==full"});
+  TablePrinter table({"kernel", "data plane (ms)", "full (ms)", "timing (ms)",
+                      "numerics (ms)", "full speedup", "timing speedup", "numerics speedup",
+                      "numerics GFLOP/s", "profile==full", "C==full"});
   double numerics_gflops_1d = 0.0;
   for (const Algo algo : {Algo::OneD, Algo::TwoD, Algo::ThreeD}) {
     Rng rng(64);
@@ -190,12 +194,16 @@ void mode_comparison() {
     numerics_opt.mode = sim::ExecMode::NumericsOnly;
     const auto& dev = sim::gh200();
 
+    const auto data = verify::data_plane_gemm(algo, dev, A, B);
     const auto full = gemm(algo, dev, A, B, full_opt);
     const auto timing = gemm(algo, dev, A, B, timing_opt);
     const auto numer = gemm(algo, dev, A, B, numerics_opt);
 
+    const double t_data = seconds_per_call([&] {
+      benchmark::DoNotOptimize(verify::data_plane_gemm(algo, dev, A, B).C.data());
+    });
     const double t_full = seconds_per_call([&] {
-      benchmark::DoNotOptimize(gemm(algo, dev, A, B, full_opt).profile.latency);
+      benchmark::DoNotOptimize(gemm(algo, dev, A, B, full_opt).C.data());
     });
     const double t_timing = seconds_per_call([&] {
       benchmark::DoNotOptimize(gemm(algo, dev, A, B, timing_opt).profile.latency);
@@ -206,12 +214,13 @@ void mode_comparison() {
 
     const double flops = model::gemm_flops(64, 64, 64);
     if (algo == Algo::OneD && t_numer > 0.0) numerics_gflops_1d = flops / t_numer / 1e9;
-    const bool prof_eq = verify::profile_diff(timing.profile, full.profile).empty();
-    const bool bits_eq = bits_identical(numer.C, full.C);
+    const bool prof_eq = verify::profile_diff(full.profile, data.profile).empty() &&
+                         verify::profile_diff(timing.profile, data.profile).empty();
+    const bool bits_eq = bits_identical(full.C, data.C) && bits_identical(numer.C, data.C);
     if (!prof_eq || !bits_eq) g_equivalence_ok = false;
-    table.add_row({std::string(algo_name(algo)) + " fp16 64", ms(t_full), ms(t_timing),
-                   ms(t_numer), ratio(t_full, t_timing), ratio(t_full, t_numer),
-                   gflops(flops, t_numer), prof_eq ? "yes" : "NO",
+    table.add_row({std::string(algo_name(algo)) + " fp16 64", ms(t_data), ms(t_full),
+                   ms(t_timing), ms(t_numer), ratio(t_data, t_full), ratio(t_data, t_timing),
+                   ratio(t_data, t_numer), gflops(flops, t_numer), prof_eq ? "yes" : "NO",
                    bits_eq ? "yes" : "NO"});
   }
   bench::emit_table(table, "Execution modes, host cost per simulated block");
@@ -220,30 +229,32 @@ void mode_comparison() {
 }
 
 /// Full-mode host cost over the Fig 8 square sweep (GH200 FP16, all three
-/// kernels): the data-plane throughput the SIMD fragment kernels and arena
-/// transfers buy. Cold is the first simulation of the shape (planning and
-/// arena growth included), timed as one call; warm is the mean call over
-/// the timing window, like every other host column. The equivalence
-/// columns assert that Full stayed profile-identical to TimingOnly and
-/// bit-identical to NumericsOnly; any "NO" fails the binary's exit code.
+/// kernels), for the front door and for the data plane. Cold is the first
+/// front-door Full call of the shape (planning and arena growth included),
+/// timed as one call; the other host columns are the mean call over the
+/// timing window. profile==full checks the front door's Full and TimingOnly
+/// profiles against the data plane's, C==full its Full and NumericsOnly C;
+/// any "NO" fails the binary's exit code.
 ///
 /// When `gate` is given, the stable subset (orders 16/32/64 — the --smoke
 /// orders, so smoke and full runs produce the same gate table) also lands in
 /// a standalone gate report: only machine-independent cells (simulated
-/// cycles, equivalence flags) plus dimensionless host-cost ratios. CI
-/// `kami_prof diff`s it against the committed baseline: the logical columns,
-/// named in the report's exact_columns meta key, must match exactly, and the
-/// host ratio gets a wide tolerance.
+/// cycles, equivalence flags) plus one dimensionless host-cost ratio, whose
+/// full/timing column is the data plane over TimingOnly. CI `kami_prof
+/// diff`s it against the committed baseline: the logical columns, named in
+/// the report's exact_columns meta key, must match exactly, and the host
+/// ratio gets a wide tolerance.
 void fig08_full_sweep(bool smoke, obs::RunReport* gate) {
   const auto& dev = sim::gh200();
   const std::vector<std::size_t> orders =
       smoke ? std::vector<std::size_t>{16, 32, 64}
             : std::vector<std::size_t>{16, 32, 64, 128, 192};
   TablePrinter table({"order", "kernel", "full cold (ms)", "full warm (ms)",
-                      "timing (ms)", "full/timing", "profile==full", "C==full"});
+                      "data plane (ms)", "timing (ms)", "full/timing", "data plane/timing",
+                      "profile==full", "C==full"});
   TablePrinter gate_table({"order", "kernel", "latency (cycles)", "profile==full",
                            "C==full", "full/timing"});
-  double warm_total = 0.0;
+  double warm_total = 0.0, data_total = 0.0;
   bool sweep_ok = true;
   for (const std::size_t n : orders) {
     for (const Algo algo : {Algo::OneD, Algo::TwoD, Algo::ThreeD}) {
@@ -262,7 +273,7 @@ void fig08_full_sweep(bool smoke, obs::RunReport* gate) {
         full.emplace(gemm(algo, dev, A, B, full_opt));
       } catch (const PreconditionError&) {
         // Infeasibility is deterministic, so "-" rows are stable gate cells.
-        table.add_row({std::to_string(n), name, "-", "-", "-", "-", "-", "-"});
+        table.add_row({std::to_string(n), name, "-", "-", "-", "-", "-", "-", "-", "-"});
         if (in_gate)
           gate_table.add_row({std::to_string(n), name, "-", "-", "-", "-"});
         continue;
@@ -270,35 +281,43 @@ void fig08_full_sweep(bool smoke, obs::RunReport* gate) {
       const std::chrono::duration<double> cold_dt =
           std::chrono::steady_clock::now() - t0;
 
+      const auto data = verify::data_plane_gemm(algo, dev, A, B);
       const auto timing = gemm(algo, dev, A, B, timing_opt);
       const auto numer = gemm(algo, dev, A, B, numerics_opt);
       const double t_warm = seconds_per_call([&] {
-        benchmark::DoNotOptimize(gemm(algo, dev, A, B, full_opt).profile.latency);
+        benchmark::DoNotOptimize(gemm(algo, dev, A, B, full_opt).C.data());
+      });
+      const double t_data = seconds_per_call([&] {
+        benchmark::DoNotOptimize(verify::data_plane_gemm(algo, dev, A, B).C.data());
       });
       const double t_timing = seconds_per_call([&] {
         benchmark::DoNotOptimize(gemm(algo, dev, A, B, timing_opt).profile.latency);
       });
 
-      const bool prof_eq = verify::profile_diff(timing.profile, full->profile).empty();
-      const bool bits_eq = bits_identical(numer.C, full->C);
+      const bool prof_eq = verify::profile_diff(full->profile, data.profile).empty() &&
+                           verify::profile_diff(timing.profile, data.profile).empty();
+      const bool bits_eq =
+          bits_identical(full->C, data.C) && bits_identical(numer.C, data.C);
       if (!prof_eq || !bits_eq) {
         g_equivalence_ok = false;
         sweep_ok = false;
       }
       warm_total += t_warm;
-      table.add_row({std::to_string(n), name, ms(cold_dt.count()), ms(t_warm),
-                     ms(t_timing), ratio(t_warm, t_timing),
+      data_total += t_data;
+      table.add_row({std::to_string(n), name, ms(cold_dt.count()), ms(t_warm), ms(t_data),
+                     ms(t_timing), ratio(t_warm, t_timing), ratio(t_data, t_timing),
                      prof_eq ? "yes" : "NO", bits_eq ? "yes" : "NO"});
       if (in_gate)
-        gate_table.add_row({std::to_string(n), name,
-                            fmt_double(full->profile.latency, 1),
+        gate_table.add_row({std::to_string(n), name, fmt_double(data.profile.latency, 1),
                             prof_eq ? "yes" : "NO", bits_eq ? "yes" : "NO",
-                            t_timing > 0.0 ? fmt_double(t_warm / t_timing, 2) : "-"});
+                            t_timing > 0.0 ? fmt_double(t_data / t_timing, 2) : "-"});
     }
   }
   bench::emit_table(table, "Fig 8 sweep, Full-mode host cost (GH200 fp16)");
   bench::run_report().set_meta("fig08_full_warm_ms_total",
                                fmt_double(warm_total * 1e3, 3));
+  bench::run_report().set_meta("fig08_data_plane_ms_total",
+                               fmt_double(data_total * 1e3, 3));
   bench::run_report().set_meta("fig08_equivalence", sweep_ok ? "yes" : "NO");
   if (gate != nullptr) gate->add_table("Full-mode data plane gate", gate_table);
 }
@@ -368,14 +387,14 @@ void baselines_full_cost(bool smoke) {
   bench::emit_table(table, "Baselines, Full-mode host cost");
 }
 
-/// Pre-split autotune (per-candidate Full on random operands) vs the cached
-/// TimingOnly path.
+/// Pre-split autotune (per-candidate data-plane simulation on random
+/// operands) vs the cached TimingOnly path.
 void autotune_comparison() {
   const auto& dev = sim::gh200();
   const std::size_t n = 64;
 
-  // The pre-split path: every candidate runs a Full simulation, arithmetic
-  // included, on random operands.
+  // The pre-split path: every candidate runs a data-plane simulation,
+  // arithmetic included, on random operands.
   const auto legacy = [&] {
     Rng rng(42);
     const auto A = random_matrix<fp16_t>(n, n, rng);
@@ -386,7 +405,7 @@ void autotune_comparison() {
       opt.warps = cand.warps;
       opt.smem_ratio = cand.smem_ratio;
       try {
-        const auto r = gemm(cand.algo, dev, A, B, opt);
+        const auto r = verify::data_plane_gemm(cand.algo, dev, A, B, opt);
         const double t = sim::throughput_tflops(dev, r.profile, bench::kBlocks);
         if (t > best) best = t;
       } catch (const PreconditionError&) {
@@ -407,7 +426,7 @@ void autotune_comparison() {
   });
 
   TablePrinter table({"path", "time (ms)", "speedup vs pre-split", "winner TFLOPS"});
-  table.add_row({"pre-split (Full per candidate)", ms(t_legacy), "1.0x",
+  table.add_row({"pre-split (data plane per candidate)", ms(t_legacy), "1.0x",
                  fmt_double(legacy_tflops, 2)});
   table.add_row({"cached TimingOnly, cold", ms(t_cold), ratio(t_legacy, t_cold),
                  fmt_double(tuned.tflops, 2)});
@@ -421,7 +440,7 @@ void autotune_comparison() {
               << legacy_tflops << "\n";
 }
 
-/// Pre-split batched execution (per-entry Full) vs the fast path.
+/// Pre-split batched execution (per-entry data plane) vs the fast path.
 void batched_comparison(std::size_t batch) {
   const auto& dev = sim::gh200();
   const std::size_t orders[] = {16, 32, 48};  // 3 distinct shapes in the batch
@@ -433,14 +452,14 @@ void batched_comparison(std::size_t batch) {
     Bs.push_back(random_matrix<fp16_t>(o, o, rng));
   }
 
-  // The pre-split loop: one Full simulation per entry, I/O charged.
+  // The pre-split loop: one data-plane simulation per entry, I/O charged.
   const auto legacy = [&] {
     GemmOptions opt;
     opt.charge_global_io = true;
     std::vector<Matrix<fp16_t>> Cs;
     Cs.reserve(As.size());
     for (std::size_t i = 0; i < As.size(); ++i)
-      Cs.push_back(gemm(Algo::OneD, dev, As[i], Bs[i], opt).C);
+      Cs.push_back(verify::data_plane_gemm(Algo::OneD, dev, As[i], Bs[i], opt).C);
     return Cs;
   };
 
@@ -466,7 +485,7 @@ void batched_comparison(std::size_t batch) {
 
   TablePrinter table({"path", "time (ms)", "speedup vs pre-split", "host GFLOP/s",
                       "C bit-identical"});
-  table.add_row({"pre-split (Full per entry)", ms(t_legacy), "1.0x",
+  table.add_row({"pre-split (data plane per entry)", ms(t_legacy), "1.0x",
                  gflops(batch_flops, t_legacy), "-"});
   table.add_row({"fast path, cold cache", ms(t_cold), ratio(t_legacy, t_cold),
                  gflops(batch_flops, t_cold), identical ? "yes" : "NO"});

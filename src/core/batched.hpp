@@ -84,17 +84,14 @@ inline void require_timed_mode(sim::ExecMode mode) {
                    sim::exec_mode_name(mode));
 }
 
-/// One cached TimingOnly simulation (global I/O charged) plus the plan's 3D
-/// layer count. Throws the planner's PreconditionError for infeasible shapes.
+/// One cached TimingOnly simulation (global I/O charged) plus the layer
+/// count of its plan's association. Throws the planner's PreconditionError
+/// for infeasible shapes.
 template <Scalar T>
 BatchShape batch_shape(const sim::DeviceSpec& dev, Algo algo, std::size_t m,
                        std::size_t n, std::size_t k, const GemmOptions& opt) {
-  BatchShape shape;
-  shape.profile = timing_profile<T>(ProfileCache::global(), algo, dev, m, n, k, opt).profile;
-  if (algo == Algo::ThreeD)
-    shape.layers = static_cast<std::size_t>(
-        plan_gemm(algo, dev, num_traits<T>::precision, m, n, k, opt).grid);
-  return shape;
+  const CachedProfile prof = timing_profile<T>(ProfileCache::global(), algo, dev, m, n, k, opt);
+  return {prof.profile, numeric_layers(algo, prof.warps)};
 }
 
 }  // namespace detail

@@ -38,10 +38,12 @@ struct GemmOptions {
   double theta_r = 1.0;
   double theta_w = 1.0;
 
-  /// What the kernel executes (sim/exec_mode.hpp). TimingOnly skips all
-  /// element arithmetic but produces the exact profile Full would;
-  /// NumericsOnly computes the exact C Full would and leaves the profile
-  /// zero. Trace/region recording require a timed mode.
+  /// What kami::gemm runs (core/kami.hpp). Full: one TimingOnly simulation
+  /// for the profile, then the host kernel (core::numeric_gemm) for C.
+  /// TimingOnly: the simulation alone, C zero-filled. NumericsOnly: the host
+  /// kernel alone, profile zero. Full's profile and C equal those of the
+  /// element data plane (verify::data_plane_gemm) bit for bit. Trace/region
+  /// recording require a timed mode.
   sim::ExecMode mode = sim::ExecMode::Full;
 
   /// Record an op-level timeline (sim/trace.hpp) into GemmResult::trace.

@@ -10,6 +10,19 @@
 // The three block-level algorithms (Section 4.3-4.5), runtime-dispatched.
 // Batched and low-rank drivers live in core/batched.hpp and core/lowrank.hpp;
 // sparse kernels in sparse/.
+//
+// A call plans, then runs up to two things, in this order:
+//   * one TimingOnly simulation of the plan from the shape alone
+//     (core/kami_1d.hpp, kami_2d.hpp, kami_3d.hpp) for the profile, the
+//     trace and the phases, and for every error a block raises:
+//     infeasibility, deadline aborts, injected faults;
+//   * the host kernel (core/numeric_path.hpp) for C, in the plan's
+//     association (numeric_layers).
+// Full runs both, TimingOnly the first (C stays zero-filled) and
+// NumericsOnly the second. The element data plane, a block that moves A and
+// B through fragments and shared memory and narrows C out of them, is the
+// verifier's (verify::data_plane_gemm), which checks point by point that it
+// equals this composition in profile and bits.
 #pragma once
 
 #include <string>
@@ -18,6 +31,7 @@
 #include "core/kami_1d.hpp"
 #include "core/kami_2d.hpp"
 #include "core/kami_3d.hpp"
+#include "core/numeric_path.hpp"
 
 namespace kami {
 
@@ -25,18 +39,54 @@ using core::Algo;
 using core::GemmOptions;
 using core::GemmResult;
 
+namespace core {
+
+/// The k-layers of a plan's association: KAMI-3D reduces its cbrt(warps)
+/// layers in order, 1D and 2D run one ascending-k chain. It needs only the
+/// warp count, so a cached profile answers it too.
+inline std::size_t numeric_layers(Algo algo, int warps) {
+  return algo == Algo::ThreeD ? static_cast<std::size_t>(warp_grid(algo, warps)) : 1;
+}
+
+namespace detail {
+
+/// Simulate `plan` for an m x n x k product: timing only without `data`, the
+/// element data plane with it.
+template <Scalar T>
+GemmResult<T> simulate(const sim::DeviceSpec& dev, const Plan& plan, std::size_t m,
+                       std::size_t n, std::size_t k, const GemmOptions& opt,
+                       const Operands<T>* data = nullptr) {
+  KAMI_REQUIRE(data == nullptr || (data->A.rows() == m && data->A.cols() == k &&
+                                   data->B.rows() == k && data->B.cols() == n),
+               "operands must have the simulated shape");
+  switch (plan.algo) {
+    case Algo::OneD: return simulate_1d(dev, plan, m, n, k, opt, data);
+    case Algo::TwoD: return simulate_2d(dev, plan, m, n, k, opt, data);
+    case Algo::ThreeD: return simulate_3d(dev, plan, m, n, k, opt, data);
+  }
+  throw PreconditionError("unknown algorithm in plan");
+}
+
+}  // namespace detail
+}  // namespace core
+
 /// Block-level C = A x B with the selected CA algorithm.
 template <Scalar T>
 GemmResult<T> gemm(Algo algo, const sim::DeviceSpec& dev, const Matrix<T>& A,
                    const Matrix<T>& B, const GemmOptions& opt = {}) {
-  switch (algo) {
-    case Algo::OneD: return core::kami_1d_gemm(dev, A, B, opt);
-    case Algo::TwoD: return core::kami_2d_gemm(dev, A, B, opt);
-    case Algo::ThreeD: return core::kami_3d_gemm(dev, A, B, opt);
-  }
-  throw PreconditionError("unknown algorithm: " +
-                          std::to_string(static_cast<int>(algo)) +
-                          " is not one of Algo::OneD(0)/TwoD(1)/ThreeD(2)");
+  if (algo != Algo::OneD && algo != Algo::TwoD && algo != Algo::ThreeD)
+    throw PreconditionError("unknown algorithm: " + std::to_string(static_cast<int>(algo)) +
+                            " is not one of Algo::OneD(0)/TwoD(1)/ThreeD(2)");
+  const std::size_t m = A.rows(), k = A.cols(), n = B.cols();
+  KAMI_REQUIRE(B.rows() == k, "inner dimensions must agree");
+  const core::Plan plan = core::plan_gemm(algo, dev, num_traits<T>::precision, m, n, k, opt);
+  GemmResult<T> out{{}, {}, plan.p, plan.smem_ratio, nullptr, nullptr};
+  if (opt.mode != sim::ExecMode::NumericsOnly)
+    out = core::detail::simulate<T>(dev, plan, m, n, k, opt);
+  out.C = opt.mode == sim::ExecMode::TimingOnly
+              ? Matrix<T>(m, n)
+              : core::numeric_gemm(A, B, core::numeric_layers(algo, plan.p));
+  return out;
 }
 
 const char* algo_name(Algo algo) noexcept;

@@ -26,28 +26,25 @@
 #include <vector>
 
 #include "core/gemm.hpp"
-#include "core/numeric_path.hpp"
 #include "core/phase_scope.hpp"
 #include "core/planner.hpp"
 #include "core/sliced_operand.hpp"
 #include "model/cost_model.hpp"
 #include "sim/block.hpp"
 
-namespace kami::core {
+namespace kami::core::detail {
 
+/// Algorithm 1 on a simulated block of plan.p warps for an m x n x k product.
+/// With `data` the block moves A's and B's elements and returns C (the data
+/// plane); without, it times the schedule from the shape and returns an
+/// empty C. Profile, trace and phases are the same either way.
 template <Scalar T>
-GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
-                           const Matrix<T>& B, const GemmOptions& opt = {}) {
+GemmResult<T> simulate_1d(const sim::DeviceSpec& dev, const Plan& plan, std::size_t m,
+                          std::size_t n, std::size_t k, const GemmOptions& opt,
+                          const Operands<T>* data) {
   using Acc = typename num_traits<T>::acc_t;
-  const std::size_t m = A.rows(), k = A.cols(), n = B.cols();
-  KAMI_REQUIRE(B.rows() == k, "inner dimensions must agree");
-
-  const Plan plan = plan_gemm(Algo::OneD, dev, num_traits<T>::precision, m, n, k, opt);
-
-  // NumericsOnly: the 1D accumulation order equals the plain sequential-k
-  // chain (see core/numeric_path.hpp), so skip the simulator entirely.
-  if (opt.mode == sim::ExecMode::NumericsOnly)
-    return {numeric_gemm(A, B), {}, plan.p, plan.smem_ratio, nullptr, nullptr};
+  const Matrix<T>* const A = data != nullptr ? &data->A : nullptr;
+  const Matrix<T>* const B = data != nullptr ? &data->B : nullptr;
 
   const auto p = static_cast<std::size_t>(plan.p);
   const std::size_t row_chunk = m / p;            // rows of A_i / C_i
@@ -55,7 +52,8 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   const std::size_t stripes = k / sw;             // broadcast stages
   const std::size_t q = (stripes + p - 1) / p;    // stripes per owner warp
 
-  sim::ThreadBlock blk(dev, plan.p, opt.mode);
+  sim::ThreadBlock blk(dev, plan.p,
+                       data != nullptr ? sim::ExecMode::Full : sim::ExecMode::TimingOnly);
   blk.set_deadline(opt.deadline_cycles);
   if (opt.record_trace) blk.enable_trace();
 
@@ -152,12 +150,14 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   }
 
   // Line 13: write back C, narrowed to the storage precision.
-  GemmResult<T> out{Matrix<T>(m, n), {}, plan.p, plan.smem_ratio, nullptr, nullptr};
+  GemmResult<T> out{data != nullptr ? Matrix<T>(m, n) : Matrix<T>(), {}, plan.p,
+                    plan.smem_ratio, nullptr, nullptr};
+  Matrix<T>* const C = data != nullptr ? &out.C : nullptr;
   {
     PhaseScope r(ph, blk, "writeback");
     blk.phase([&](sim::Warp& w) {
       const auto i = static_cast<std::size_t>(w.id());
-      w.store_global_narrowed(out.C, Ci[i], i * row_chunk, 0);
+      store_result(w, C, Ci[i], i * row_chunk, 0);
     });
     blk.sync();
   }
@@ -168,4 +168,4 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   return out;
 }
 
-}  // namespace kami::core
+}  // namespace kami::core::detail

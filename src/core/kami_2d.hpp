@@ -13,35 +13,31 @@
 #include <vector>
 
 #include "core/gemm.hpp"
-#include "core/numeric_path.hpp"
 #include "core/phase_scope.hpp"
 #include "core/planner.hpp"
 #include "core/sliced_operand.hpp"
 #include "model/cost_model.hpp"
 #include "sim/block.hpp"
 
-namespace kami::core {
+namespace kami::core::detail {
 
+/// Algorithm 2 on a simulated block of plan.p warps for an m x n x k
+/// product; `data` as in simulate_1d (core/kami_1d.hpp).
 template <Scalar T>
-GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
-                           const Matrix<T>& B, const GemmOptions& opt = {}) {
+GemmResult<T> simulate_2d(const sim::DeviceSpec& dev, const Plan& plan, std::size_t m,
+                          std::size_t n, std::size_t k, const GemmOptions& opt,
+                          const Operands<T>* data) {
   using Acc = typename num_traits<T>::acc_t;
-  const std::size_t m = A.rows(), k = A.cols(), n = B.cols();
-  KAMI_REQUIRE(B.rows() == k, "inner dimensions must agree");
-
-  const Plan plan = plan_gemm(Algo::TwoD, dev, num_traits<T>::precision, m, n, k, opt);
-
-  // NumericsOnly: SUMMA stages cover k in ascending order, so each element
-  // is one sequential-k chain — same as the plain numeric path.
-  if (opt.mode == sim::ExecMode::NumericsOnly)
-    return {numeric_gemm(A, B), {}, plan.p, plan.smem_ratio, nullptr, nullptr};
+  const Matrix<T>* const A = data != nullptr ? &data->A : nullptr;
+  const Matrix<T>* const B = data != nullptr ? &data->B : nullptr;
 
   const auto p = static_cast<std::size_t>(plan.p);
   const auto q = static_cast<std::size_t>(plan.grid);
   const std::size_t mb = m / q, nb = n / q, kb = k / q;
   const std::size_t slices = kb / plan.slice_w;
 
-  sim::ThreadBlock blk(dev, plan.p, opt.mode);
+  sim::ThreadBlock blk(dev, plan.p,
+                       data != nullptr ? sim::ExecMode::Full : sim::ExecMode::TimingOnly);
   blk.set_deadline(opt.deadline_cycles);
   if (opt.record_trace) blk.enable_trace();
 
@@ -142,12 +138,14 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     }
   }
 
-  GemmResult<T> out{Matrix<T>(m, n), {}, plan.p, plan.smem_ratio, nullptr, nullptr};
+  GemmResult<T> out{data != nullptr ? Matrix<T>(m, n) : Matrix<T>(), {}, plan.p,
+                    plan.smem_ratio, nullptr, nullptr};
+  Matrix<T>* const C = data != nullptr ? &out.C : nullptr;
   {
     PhaseScope r(ph, blk, "writeback");
     blk.phase([&](sim::Warp& w) {
       const auto i = static_cast<std::size_t>(w.id());
-      w.store_global_narrowed(out.C, Ci[i], row_of(i) * mb, col_of(i) * nb);
+      store_result(w, C, Ci[i], row_of(i) * mb, col_of(i) * nb);
     });
     blk.sync();
   }
@@ -158,4 +156,4 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   return out;
 }
 
-}  // namespace kami::core
+}  // namespace kami::core::detail

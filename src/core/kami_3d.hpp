@@ -30,30 +30,23 @@
 #include <vector>
 
 #include "core/gemm.hpp"
-#include "core/numeric_path.hpp"
 #include "core/phase_scope.hpp"
 #include "core/planner.hpp"
 #include "core/sliced_operand.hpp"
 #include "model/cost_model.hpp"
 #include "sim/block.hpp"
 
-namespace kami::core {
+namespace kami::core::detail {
 
+/// The 3D algorithm on a simulated block of plan.p warps for an m x n x k
+/// product; `data` as in simulate_1d (core/kami_1d.hpp).
 template <Scalar T>
-GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
-                           const Matrix<T>& B, const GemmOptions& opt = {}) {
+GemmResult<T> simulate_3d(const sim::DeviceSpec& dev, const Plan& plan, std::size_t m,
+                          std::size_t n, std::size_t k, const GemmOptions& opt,
+                          const Operands<T>* data) {
   using Acc = typename num_traits<T>::acc_t;
-  const std::size_t m = A.rows(), k = A.cols(), n = B.cols();
-  KAMI_REQUIRE(B.rows() == k, "inner dimensions must agree");
-
-  const Plan plan = plan_gemm(Algo::ThreeD, dev, num_traits<T>::precision, m, n, k, opt);
-
-  // NumericsOnly: layer l is the exact partial over the l-th k-segment and
-  // layers reduce in ascending order, which is precisely what the layered
-  // numeric path computes.
-  if (opt.mode == sim::ExecMode::NumericsOnly)
-    return {numeric_gemm(A, B, static_cast<std::size_t>(plan.grid)), {}, plan.p,
-            plan.smem_ratio, nullptr, nullptr};
+  const Matrix<T>* const A = data != nullptr ? &data->A : nullptr;
+  const Matrix<T>* const B = data != nullptr ? &data->B : nullptr;
 
   const auto p = static_cast<std::size_t>(plan.p);
   const auto c = static_cast<std::size_t>(plan.grid);
@@ -61,7 +54,8 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   const std::size_t slices = kb / plan.slice_w;
   const std::size_t nc = plan.n_chunk == 0 ? nb : plan.n_chunk;  // C chunk width
 
-  sim::ThreadBlock blk(dev, plan.p, opt.mode);
+  sim::ThreadBlock blk(dev, plan.p,
+                       data != nullptr ? sim::ExecMode::Full : sim::ExecMode::TimingOnly);
   blk.set_deadline(opt.deadline_cycles);
   if (opt.record_trace) blk.enable_trace();
 
@@ -108,7 +102,9 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   for (std::size_t g = 0; g < c * c; ++g)
     SmP.push_back(blk.smem().alloc<Acc>(mb, red_cols));
 
-  GemmResult<T> out{Matrix<T>(m, n), {}, plan.p, plan.smem_ratio, nullptr, nullptr};
+  GemmResult<T> out{data != nullptr ? Matrix<T>(m, n) : Matrix<T>(), {}, plan.p,
+                    plan.smem_ratio, nullptr, nullptr};
+  Matrix<T>* const C = data != nullptr ? &out.C : nullptr;
 
   for (std::size_t n0 = 0; n0 < nb; n0 += nc) {
     // Per-chunk accumulators and receive buffers.
@@ -147,10 +143,10 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
             // Spilled slice: pull the chunk columns from the spill region
             // (each chunk row is contiguous in B, so one memcpy per row).
             w.charge_smem_read_traffic(plan.b.slice_rows() * nc * sizeof(T), opt.theta_r);
-            if (w.numerics_enabled())
+            if (B != nullptr)
               for (std::size_t rr = 0; rr < plan.b.slice_rows(); ++rr)
                 std::memcpy(BRecv[id].row_data(rr),
-                            &B(l * kb + s * plan.slice_w + rr, col_of(id) * nb + n0),
+                            &(*B)(l * kb + s * plan.slice_w + rr, col_of(id) * nb + n0),
                             nc * sizeof(T));
           }
         }
@@ -178,10 +174,10 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
           } else {
             // Chunk columns straight from the owner's spill region.
             w.charge_smem_read_traffic(plan.b.slice_rows() * nc * sizeof(T), opt.theta_r);
-            if (w.numerics_enabled())
+            if (B != nullptr)
               for (std::size_t rr = 0; rr < plan.b.slice_rows(); ++rr)
                 std::memcpy(BRecv[id].row_data(rr),
-                            &B(l * kb + s * plan.slice_w + rr, j * nb + n0),
+                            &(*B)(l * kb + s * plan.slice_w + rr, j * nb + n0),
                             nc * sizeof(T));
           }
         }
@@ -247,7 +243,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     blk.phase([&](sim::Warp& w) {
       const auto id = static_cast<std::size_t>(w.id());
       if (layer_of(id) != 0) return;
-      w.store_global_narrowed(out.C, Ci[id], row_of(id) * mb, col_of(id) * nb + n0);
+      store_result(w, C, Ci[id], row_of(id) * mb, col_of(id) * nb + n0);
     });
     blk.sync();
   }
@@ -258,4 +254,4 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   return out;
 }
 
-}  // namespace kami::core
+}  // namespace kami::core::detail

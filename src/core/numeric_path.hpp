@@ -1,7 +1,8 @@
-// The NumericsOnly fast path: C = A x B in the kernels' exact rounding
-// model, with the cycle simulator bypassed entirely.
+// The host numeric path: C = A x B in the kernels' exact rounding model,
+// with the cycle simulator bypassed entirely. It is the C of every Full and
+// NumericsOnly kami::gemm (core/kami.hpp).
 //
-// Why this is bit-identical to the simulated kernels:
+// Why this is bit-identical to the simulated kernels' data plane:
 //   * Every KAMI kernel accumulates each C element as a single sequential
 //     chain in accumulator precision over ascending k (1D stripes, 2D
 //     stages, and each 3D layer all cover k in order), then narrows once

@@ -14,27 +14,8 @@ namespace {
 
 constexpr std::array<double, 5> kRatioPresets{0.0, 0.25, 0.5, 0.75, 0.875};
 
-int grid_of(Algo algo, int p) {
-  switch (algo) {
-    case Algo::OneD: return p;
-    case Algo::TwoD: {
-      const int q = static_cast<int>(std::lround(std::sqrt(static_cast<double>(p))));
-      KAMI_REQUIRE(q * q == p, "2D algorithm requires a perfect-square warp count, got p=" +
-                                   std::to_string(p));
-      return q;
-    }
-    case Algo::ThreeD: {
-      const int c = static_cast<int>(std::lround(std::cbrt(static_cast<double>(p))));
-      KAMI_REQUIRE(c * c * c == p, "3D algorithm requires a perfect-cube warp count, got p=" +
-                                       std::to_string(p));
-      return c;
-    }
-  }
-  return 0;
-}
-
 bool shape_divisible(Algo algo, std::size_t m, std::size_t n, std::size_t k, int p) {
-  const auto g = static_cast<std::size_t>(grid_of(algo, p));
+  const auto g = static_cast<std::size_t>(warp_grid(algo, p));
   switch (algo) {
     case Algo::OneD: return m % g == 0;  // B stripes decouple k from p
     case Algo::TwoD:
@@ -49,7 +30,7 @@ Plan make_candidate(Algo algo, std::size_t m, std::size_t n, std::size_t k, int 
   Plan plan;
   plan.algo = algo;
   plan.p = p;
-  plan.grid = grid_of(algo, p);
+  plan.grid = warp_grid(algo, p);
   plan.smem_ratio = ratio;
   const auto g = static_cast<std::size_t>(plan.grid);
   switch (algo) {
@@ -114,6 +95,25 @@ std::size_t smem_demand_bytes(const Plan& plan, Precision prec, std::size_t m,
 }
 
 }  // namespace
+
+int warp_grid(Algo algo, int p) {
+  switch (algo) {
+    case Algo::OneD: return p;
+    case Algo::TwoD: {
+      const int q = static_cast<int>(std::lround(std::sqrt(static_cast<double>(p))));
+      KAMI_REQUIRE(q * q == p, "2D algorithm requires a perfect-square warp count, got p=" +
+                                   std::to_string(p));
+      return q;
+    }
+    case Algo::ThreeD: {
+      const int c = static_cast<int>(std::lround(std::cbrt(static_cast<double>(p))));
+      KAMI_REQUIRE(c * c * c == p, "3D algorithm requires a perfect-cube warp count, got p=" +
+                                       std::to_string(p));
+      return c;
+    }
+  }
+  return 0;
+}
 
 std::size_t register_demand_bytes(const Plan& plan, Precision prec, std::size_t m,
                                   std::size_t n, std::size_t k) {
@@ -201,7 +201,7 @@ Plan plan_gemm(Algo algo, const sim::DeviceSpec& dev, Precision prec, std::size_
   for (int p : warp_candidates) {
     if (!shape_divisible(algo, m, n, k, p)) continue;
     for (std::size_t nchunk : chunk_candidates) {
-      if (nchunk != 0 && (n / static_cast<std::size_t>(grid_of(algo, p))) % nchunk != 0)
+      if (nchunk != 0 && (n / static_cast<std::size_t>(warp_grid(algo, p))) % nchunk != 0)
         continue;
       for (std::size_t pref : slice_prefs) {
         for (double ratio : ratio_candidates) {

@@ -27,6 +27,11 @@ struct Plan {
   std::size_t reg_demand_bytes = 0;  ///< predicted per-warp register bytes
 };
 
+/// The warp grid's edge for p warps: p for 1D, sqrt(p) for 2D, cbrt(p) for
+/// 3D (Plan::grid). Throws PreconditionError when p is not a square (2D) or
+/// a cube (3D).
+int warp_grid(Algo algo, int p);
+
 /// Per-warp register demand of a candidate plan (operands + accumulator +
 /// receive/scratch slices); what the planner compares to the register file.
 std::size_t register_demand_bytes(const Plan& plan, Precision prec, std::size_t m,

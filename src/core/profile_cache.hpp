@@ -123,9 +123,9 @@ class ProfileCache {
 };
 
 /// Cycle profile of (algo, dev, m, n, k, opt), served from `cache` or
-/// produced by one TimingOnly simulation on zero-filled operands (values
-/// cannot affect timing). Throws PreconditionError for infeasible
-/// configurations, exactly as the Full kernel would.
+/// produced by one TimingOnly simulation of the shape (values cannot affect
+/// timing, so no operand is allocated). Throws PreconditionError for
+/// infeasible configurations, exactly as kami::gemm would.
 ///
 /// A positive deadline_cycles is honoured on hits too: a request whose cached
 /// latency exceeds it aborts exactly as on a cold cache.
@@ -139,7 +139,6 @@ template <Scalar T>
 CachedProfile timing_profile(ProfileCache& cache, Algo algo, const sim::DeviceSpec& dev,
                              std::size_t m, std::size_t n, std::size_t k,
                              GemmOptions opt = {}) {
-  opt.mode = sim::ExecMode::TimingOnly;
   opt.record_trace = false;
   opt.record_regions = false;
   // Resolve the plan first: the canonical key dedups requests that map to the
@@ -154,8 +153,7 @@ CachedProfile timing_profile(ProfileCache& cache, Algo algo, const sim::DeviceSp
   if (std::optional<CachedProfile> hit = cache.find(key);
       hit && !(opt.deadline_cycles > 0.0 && hit->profile.latency > opt.deadline_cycles))
     return *hit;
-  const Matrix<T> A(m, k), B(k, n);
-  const GemmResult<T> r = kami::gemm(algo, dev, A, B, opt);
+  const GemmResult<T> r = detail::simulate<T>(dev, plan, m, n, k, opt);
   const CachedProfile entry{r.profile, r.warps, r.smem_ratio};
   cache.insert(key, entry);
   return entry;

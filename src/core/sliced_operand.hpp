@@ -7,6 +7,11 @@
 // resident fragment plus its spill tiles and serves slices to the kernels:
 // resident slices as register views, spilled slices as charged shared-memory
 // reads. The spill ratio is the Fig 10 tuning knob.
+//
+// The same file holds the host side of a KAMI block: the operands a
+// data-plane run moves in (Operands) and the writeback that narrows C out
+// (store_result). A timing run passes no host matrix: its block holds no
+// element, and every op charges from the shape alone.
 #pragma once
 
 #include <cstddef>
@@ -59,21 +64,43 @@ struct SliceLayout {
   }
 };
 
+/// The host matrices a KAMI data-plane run moves through its block.
+template <Scalar T>
+struct Operands {
+  const Matrix<T>& A;
+  const Matrix<T>& B;
+};
+
+/// Writeback of one warp's accumulator: narrow it into C at (r0, c0). A
+/// timing run has no C (null) and charges the same store.
+template <Scalar T>
+void store_result(sim::Warp& w, Matrix<T>* C,
+                  const sim::Fragment<typename num_traits<T>::acc_t>& acc, std::size_t r0,
+                  std::size_t c0) {
+  if (C != nullptr)
+    w.store_global_narrowed(*C, acc, r0, c0);
+  else
+    w.charge_global_store(acc.rows() * acc.cols() * sizeof(T));
+}
+
 template <Scalar T>
 class SlicedOperand {
  public:
   /// Materialize one warp's operand from the host matrix window at (r0, c0).
-  /// Placement costs follow the warp's gmem-charging mode: in the paper's
-  /// block-level loop the data is already resident and placement is free;
-  /// batched drivers charge the global loads and spill writes.
+  /// `src` is null in a timing run, whose warp moves no data. Placement
+  /// costs follow the warp's gmem-charging mode: in the paper's block-level
+  /// loop the data is already resident and placement is free; batched
+  /// drivers charge the global loads and spill writes.
   SlicedOperand(sim::Warp& w, sim::SharedMemory& smem, const SliceLayout& lay,
-                const Matrix<T>& src, std::size_t r0, std::size_t c0)
+                const Matrix<T>* src, std::size_t r0, std::size_t c0)
       : lay_(lay),
         frag_(w.regs(),
               lay.axis == SliceAxis::Rows ? lay.resident_slices_total() * lay.slice_w
                                           : lay.rows,
               lay.axis == SliceAxis::Cols ? lay.resident_slices_total() * lay.slice_w
                                           : lay.cols) {
+    KAMI_REQUIRE(src != nullptr || !w.numerics_enabled(),
+                 "a warp that moves data needs the source matrix");
     spill_.reserve(lay_.spilled_slices_total());
     const std::size_t slice_bytes = lay_.slice_elems() * sizeof(T);
     for (std::size_t s = 0; s < lay_.n_slices; ++s) {
@@ -87,7 +114,7 @@ class SlicedOperand {
           for (std::size_t r = 0; r < lay_.slice_rows(); ++r) {
             const std::size_t fr = lay_.axis == SliceAxis::Rows ? off + r : r;
             const std::size_t fc = lay_.axis == SliceAxis::Cols ? off : 0;
-            std::memcpy(frag_.row_data(fr) + fc, &src(r0 + sr + r, c0 + sc),
+            std::memcpy(frag_.row_data(fr) + fc, &(*src)(r0 + sr + r, c0 + sc),
                         lay_.slice_cols() * sizeof(T));
           }
         }
@@ -100,7 +127,7 @@ class SlicedOperand {
         auto tile = smem.alloc<T>(lay_.slice_rows(), lay_.slice_cols());
         if (w.numerics_enabled() && lay_.slice_cols() > 0)
           for (std::size_t r = 0; r < lay_.slice_rows(); ++r)
-            smem.write_row(tile, r, &src(r0 + sr + r, c0 + sc), lay_.slice_cols());
+            smem.write_row(tile, r, &(*src)(r0 + sr + r, c0 + sc), lay_.slice_cols());
         if (w.gmem_charging()) {
           w.charge_global_traffic(slice_bytes);
           w.charge_smem_write_traffic(slice_bytes);

@@ -365,6 +365,11 @@ class Warp {
   /// that place data directly). Honors the gmem-charging flag.
   void charge_global_traffic(std::size_t bytes) { charge_gmem(bytes, OpKind::GmemLoad); }
 
+  /// Account a global store without a destination matrix: exactly what
+  /// store_global_narrowed charges, for a timing run that produces no C.
+  /// Honors the gmem-charging flag.
+  void charge_global_store(std::size_t bytes) { charge_gmem(bytes, OpKind::GmemStore); }
+
   /// Pipelined (cp.async-style) global traffic: occupies the memory port
   /// but hides the access latency behind the software pipeline, as
   /// multi-stage mainloops do. Honors the gmem-charging flag.

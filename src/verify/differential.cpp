@@ -8,6 +8,7 @@
 #include "baselines/reference.hpp"
 #include "exec/engine.hpp"
 #include "util/rng.hpp"
+#include "verify/data_plane.hpp"
 #include "verify/invariants.hpp"
 
 namespace kami::verify {
@@ -98,54 +99,72 @@ CheckResult check_impl(const CheckPoint& p) {
   core::GemmOptions numeric = full;
   numeric.mode = sim::ExecMode::NumericsOnly;
 
-  std::optional<core::GemmResult<T>> f;
+  // The data plane is the reference the three front-door modes answer to.
+  std::optional<core::GemmResult<T>> d;
   try {
-    f.emplace(kami::gemm(p.algo, dev, A, B, full));
+    d.emplace(data_plane_gemm(p.algo, dev, A, B, full));
   } catch (const InvariantViolation&) {
     throw;  // always a simulator bug, never an infeasible point
   } catch (const PreconditionError& e) {
-    // Infeasible point. Feasibility must be mode-independent: TimingOnly
-    // sees the same planner and allocators and must reject it too.
-    try {
-      (void)kami::gemm(p.algo, dev, A, B, timing);
-    } catch (const InvariantViolation&) {
-      throw;
-    } catch (const PreconditionError&) {
-      return {true, true, std::string("infeasible: ") + e.what()};
+    // Infeasible point. Feasibility must be mode-independent: the front
+    // door's Full and TimingOnly see the same planner and allocators and
+    // must reject it with the same error.
+    for (const core::GemmOptions& opt : {full, timing}) {
+      try {
+        (void)kami::gemm(p.algo, dev, A, B, opt);
+      } catch (const InvariantViolation&) {
+        throw;
+      } catch (const PreconditionError& f) {
+        if (std::string(f.what()) != e.what())
+          return {false, false,
+                  std::string(sim::exec_mode_name(opt.mode)) +
+                      " rejected the point differently from the data plane (" + f.what() +
+                      " vs " + e.what() + ")"};
+        continue;
+      }
+      return {false, false,
+              std::string("the data plane rejected the point but ") +
+                  sim::exec_mode_name(opt.mode) + " accepted it (data plane: " + e.what() +
+                  ")"};
     }
-    return {false, false,
-            std::string("Full rejected the point but TimingOnly accepted it (Full: ") +
-                e.what() + ")"};
+    return {true, true, std::string("infeasible: ") + e.what()};
   }
 
-  const auto t = kami::gemm(p.algo, dev, A, B, timing);
-  if (const std::string d = profile_diff(f->profile, t.profile); !d.empty())
-    return {false, false, "TimingOnly profile diverges from Full: " + d};
-  if (t.warps != f->warps || t.smem_ratio != f->smem_ratio)
-    return {false, false, "TimingOnly resolved a different plan than Full"};
+  for (const core::GemmOptions& opt : {full, timing}) {
+    const auto r = kami::gemm(p.algo, dev, A, B, opt);
+    const std::string mode = sim::exec_mode_name(opt.mode);
+    if (const std::string diff = profile_diff(r.profile, d->profile); !diff.empty())
+      return {false, false, mode + " profile diverges from the data plane: " + diff};
+    if (r.warps != d->warps || r.smem_ratio != d->smem_ratio)
+      return {false, false, mode + " resolved a different plan than the data plane"};
+    if (opt.mode == sim::ExecMode::Full && !bits_equal(r.C, d->C))
+      return {false, false,
+              "Full result diverges from the data plane (max |delta| = " +
+                  fmt(max_abs_diff(r.C, d->C)) + ")"};
+  }
 
   const auto nres = kami::gemm(p.algo, dev, A, B, numeric);
-  if (!bits_equal(nres.C, f->C))
+  if (!bits_equal(nres.C, d->C))
     return {false, false,
-            "NumericsOnly result diverges from Full (max |delta| = " +
-                fmt(max_abs_diff(nres.C, f->C)) + ")"};
+            "NumericsOnly result diverges from the data plane (max |delta| = " +
+                fmt(max_abs_diff(nres.C, d->C)) + ")"};
 
   if (p.algo == core::Algo::ThreeD) {
     const Matrix<double> ref = baselines::reference_gemm_fp64(A, B);
     const double bound =
         reference_tolerance(num_traits<T>::precision) * static_cast<double>(p.k);
-    const double err = max_abs_diff(f->C, ref);
+    const double err = max_abs_diff(d->C, ref);
     if (!(err <= bound))
       return {false, false,
               "KAMI-3D deviates from the FP64 reference: max |delta| = " + fmt(err) +
                   " > " + fmt(bound)};
   } else {
     const Matrix<T> ref = baselines::reference_gemm(A, B);
-    if (!bits_equal(f->C, ref))
+    if (!bits_equal(d->C, ref))
       return {false, false,
               std::string(algo_name(p.algo)) +
                   " must match the reference bit-for-bit (max |delta| = " +
-                  fmt(max_abs_diff(f->C, ref)) + ")"};
+                  fmt(max_abs_diff(d->C, ref)) + ")"};
   }
   return {true, false, ""};
 }
@@ -319,6 +338,9 @@ const std::vector<CheckPoint>& smoke_points() {
     add("GH200", Precision::FP64, core::Algo::OneD, 64, 64, 64, warps8);
     add("GH200", Precision::FP8E4M3, core::Algo::OneD, 64, 64, 64);
     add("GH200", Precision::FP16, core::Algo::OneD, 64, 64, 128, spill);
+    // Two resident B stripes per owner warp: the only smoke point whose
+    // broadcast publishes a stripe other than the owner's first.
+    add("GH200", Precision::FP16, core::Algo::OneD, 64, 64, 128);
     add("GH200", Precision::FP16, core::Algo::OneD, 64, 64, 64, io);
     add("GH200", Precision::FP16, core::Algo::TwoD, 32, 32, 32, conflict);
     add("RTX 5090", Precision::BF16, core::Algo::OneD, 64, 64, 64);

@@ -2,15 +2,18 @@
 //
 // A CheckPoint is one randomized-or-curated configuration: (device,
 // precision, algo, shape, tuning options, data seed). check_point() runs it
-// through the three execution modes and the reference rounding model and
-// asserts the PR-2 mode-equivalence contract:
+// on the element data plane (verify/data_plane.hpp), through the front
+// door's three execution modes, and against the reference rounding model,
+// and asserts the mode-equivalence contract:
 //
-//   * Full vs TimingOnly  — bit-identical KernelProfile (and resolved plan);
-//   * Full vs NumericsOnly — bit-identical result matrix C;
-//   * Full vs reference    — bit-exact for KAMI-1D/2D (sequential-k order),
-//     precision-aware tolerance vs the FP64 reference for KAMI-3D (which
-//     re-associates the k-reduction across layers);
-//   * infeasible points    — every timed mode must reject them identically.
+//   * data plane vs Full and TimingOnly — bit-identical KernelProfile (and
+//     resolved plan);
+//   * data plane vs Full and NumericsOnly — bit-identical result matrix C;
+//   * data plane vs reference — bit-exact for KAMI-1D/2D (sequential-k
+//     order), precision-aware tolerance vs the FP64 reference for KAMI-3D
+//     (which re-associates the k-reduction across layers);
+//   * infeasible points — the data plane, Full and TimingOnly reject them
+//     with the same error.
 //
 // Points serialize to one-line `key=value` specs (to_string/point_from_string)
 // so a fuzz failure is replayable with `kami_verify repro <seed>` and curated

@@ -1,12 +1,18 @@
-// Execution-mode equivalence (the contract behind the profile cache and the
-// batched/autotune fast paths):
-//   * TimingOnly must reproduce the Full cycle profile bit-for-bit — timing
-//     depends only on shapes and bytes, never on operand values;
-//   * NumericsOnly must reproduce the Full result matrix bit-for-bit — the
-//     fast path replays the same per-element accumulation chains in the same
-//     order and precision;
-//   * the kernel's phase spans (record_regions) are identical in both timed
-//     modes and tile the block's latency; NumericsOnly records none.
+// Execution-mode equivalence (the contract behind the composed front door,
+// the profile cache and the batched/autotune fast paths), checked against the
+// element data plane (verify::data_plane_gemm), the one run that moves real
+// elements through the simulated block:
+//   * Full and TimingOnly reproduce the data plane's cycle profile
+//     bit-for-bit — timing depends only on shapes and bytes, never on
+//     operand values;
+//   * Full and NumericsOnly reproduce the data plane's result matrix
+//     bit-for-bit — the host kernel replays the same per-element
+//     accumulation chains in the same order and precision;
+//   * the kernel's phase spans (record_regions) are identical in the data
+//     plane and both timed modes and tile the block's latency; NumericsOnly
+//     records none;
+//   * a front-door Full call raises what the data plane raises: deadline
+//     aborts and injected allocation failures hit the same op;
 //   * the sim.* counters and gauges a run publishes are identical in Full
 //     and TimingOnly, although a TimingOnly block holds no data plane.
 // Checked across the 1D/2D/3D x device x precision grid, spill ratios,
@@ -32,6 +38,7 @@
 #include "core/kami.hpp"
 #include "core/profile_cache.hpp"
 #include "obs/metrics.hpp"
+#include "verify/data_plane.hpp"
 
 namespace kami {
 namespace {
@@ -59,8 +66,9 @@ void expect_phase_spans(const obs::RequestTrace& phases,
             phases.canonical_text());
 }
 
-/// Run (algo, dev, m, n, k, opt) in all three modes on the same random
-/// operands, recording phases, and cross-check the mode contract.
+/// Run (algo, dev, m, n, k, opt) on the data plane and in all three
+/// front-door modes on the same random operands, recording phases, and
+/// cross-check each against the data plane.
 template <Scalar T>
 void check_modes(Algo algo, const sim::DeviceSpec& dev, std::size_t m, std::size_t n,
                  std::size_t k, GemmOptions opt = {}) {
@@ -73,25 +81,33 @@ void check_modes(Algo algo, const sim::DeviceSpec& dev, std::size_t m, std::size
 
   opt.mode = sim::ExecMode::Full;
   opt.record_regions = true;
+  const auto data = verify::data_plane_gemm(algo, dev, A, B, opt);
+  ASSERT_NE(data.regions, nullptr);
+  expect_phase_spans(*data.regions, data.profile);
+
   const auto full = gemm(algo, dev, A, B, opt);
+  expect_profile_identical(full.profile, data.profile);
+  EXPECT_EQ(full.warps, data.warps);
+  EXPECT_EQ(full.smem_ratio, data.smem_ratio);
+  EXPECT_TRUE(bits_equal(full.C, data.C));
   ASSERT_NE(full.regions, nullptr);
-  expect_phase_spans(*full.regions, full.profile);
+  EXPECT_EQ(full.regions->canonical_text(), data.regions->canonical_text());
 
   GemmOptions topt = opt;
   topt.mode = sim::ExecMode::TimingOnly;
   const auto timing = gemm(algo, dev, A, B, topt);
-  expect_profile_identical(timing.profile, full.profile);
-  EXPECT_EQ(timing.warps, full.warps);
-  EXPECT_EQ(timing.smem_ratio, full.smem_ratio);
+  expect_profile_identical(timing.profile, data.profile);
+  EXPECT_EQ(timing.warps, data.warps);
+  EXPECT_EQ(timing.smem_ratio, data.smem_ratio);
   // No arithmetic ran: the TimingOnly output stays zero-initialized.
   EXPECT_TRUE(bits_equal(timing.C, Matrix<T>(m, n)));
   ASSERT_NE(timing.regions, nullptr);
-  EXPECT_EQ(timing.regions->canonical_text(), full.regions->canonical_text());
+  EXPECT_EQ(timing.regions->canonical_text(), data.regions->canonical_text());
 
   GemmOptions nopt = opt;
   nopt.mode = sim::ExecMode::NumericsOnly;
   const auto numer = gemm(algo, dev, A, B, nopt);
-  EXPECT_TRUE(bits_equal(numer.C, full.C));
+  EXPECT_TRUE(bits_equal(numer.C, data.C));
   // No cycles charged: the NumericsOnly profile stays empty.
   EXPECT_EQ(numer.profile.latency, 0.0);
   EXPECT_EQ(numer.profile.tc_busy, 0.0);
@@ -198,6 +214,116 @@ TEST(ExecModes, ChargedGlobalIo) {
   opt.charge_global_io = true;
   check_modes<fp16_t>(Algo::OneD, sim::gh200(), 64, 64, 64, opt);
   check_modes<double>(Algo::TwoD, sim::gh200(), 32, 32, 32, opt);
+}
+
+// ---------------------------------------------------------------------------
+// A front-door Full call runs the data plane's block program
+// ---------------------------------------------------------------------------
+
+/// What `call` throws as an E, or "" when it returns.
+template <typename E, typename Call>
+std::string thrown(Call&& call) {
+  try {
+    (void)call();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Register allocations `call` makes, counted on the fault hook's countdown.
+template <typename Call>
+long long allocations(Call&& call) {
+  constexpr long long kArmed = 1'000'000'000;
+  verify::FaultHooks fault;
+  fault.alloc_fail_countdown = kArmed;
+  const verify::ScopedFault guard(fault);
+  (void)call();
+  return kArmed - verify::fault_hooks().alloc_fail_countdown;
+}
+
+/// The front door's Full call and the data plane agree on everything the
+/// block produces or raises: phases, op events, the deadline abort below the
+/// latency, and the failing allocation wherever the fault hook is armed.
+template <Scalar T>
+void expect_front_door_parity(Algo algo, std::size_t m, std::size_t n, std::size_t k,
+                              GemmOptions opt) {
+  SCOPED_TRACE(std::string(algo_name(algo)) + " m=" + std::to_string(m) +
+               " n=" + std::to_string(n) + " k=" + std::to_string(k));
+  const auto& dev = sim::gh200();
+  Rng rng(m * 31 + n * 7 + k);
+  const auto A = random_matrix<T>(m, k, rng);
+  const auto B = random_matrix<T>(k, n, rng);
+  opt.mode = sim::ExecMode::Full;
+  const auto front = [&](const GemmOptions& o) { return gemm(algo, dev, A, B, o); };
+  const auto data_plane = [&](const GemmOptions& o) {
+    return verify::data_plane_gemm(algo, dev, A, B, o);
+  };
+
+  GemmOptions rec = opt;
+  rec.record_regions = true;
+  rec.record_trace = true;
+  const auto full = front(rec);
+  const auto data = data_plane(rec);
+  EXPECT_TRUE(bits_equal(full.C, data.C));
+  expect_profile_identical(full.profile, data.profile);
+  ASSERT_NE(full.regions, nullptr);
+  ASSERT_NE(data.regions, nullptr);
+  EXPECT_EQ(full.regions->canonical_text(), data.regions->canonical_text());
+  ASSERT_NE(full.trace, nullptr);
+  ASSERT_NE(data.trace, nullptr);
+  const auto& fe = full.trace->events();
+  const auto& de = data.trace->events();
+  ASSERT_EQ(fe.size(), de.size());
+  EXPECT_GT(fe.size(), 0u);
+  for (std::size_t i = 0; i < fe.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(fe[i].warp, de[i].warp);
+    EXPECT_EQ(fe[i].kind, de[i].kind);
+    EXPECT_EQ(fe[i].issue, de[i].issue);
+    EXPECT_EQ(fe[i].start, de[i].start);
+    EXPECT_EQ(fe[i].end, de[i].end);
+    EXPECT_EQ(fe[i].amount, de[i].amount);
+  }
+
+  GemmOptions deadline = opt;
+  deadline.deadline_cycles = data.profile.latency / 2;
+  const std::string abort = thrown<sim::DeadlineExceeded>([&] { return data_plane(deadline); });
+  EXPECT_NE(abort, "");
+  EXPECT_EQ(thrown<sim::DeadlineExceeded>([&] { return front(deadline); }), abort);
+
+  const long long allocs = allocations([&] { return data_plane(opt); });
+  EXPECT_EQ(allocations([&] { return front(opt); }), allocs);
+  for (const long long countdown : {0LL, allocs / 2, allocs - 1}) {
+    SCOPED_TRACE("alloc_fail_countdown " + std::to_string(countdown));
+    verify::FaultHooks fault;
+    fault.alloc_fail_countdown = countdown;
+    std::string failed;
+    {
+      const verify::ScopedFault guard(fault);
+      failed = thrown<sim::RegisterOverflow>([&] { return data_plane(opt); });
+    }
+    EXPECT_NE(failed.find("injected allocation failure"), std::string::npos) << failed;
+    const verify::ScopedFault guard(fault);
+    EXPECT_EQ(thrown<sim::RegisterOverflow>([&] { return front(opt); }), failed);
+  }
+}
+
+TEST(ExecModes, FrontDoorFullMatchesDataPlaneSpilledOneD) {
+  GemmOptions opt;
+  opt.smem_ratio = 0.5;
+  opt.charge_global_io = true;
+  ASSERT_GT(core::plan_gemm(Algo::OneD, sim::gh200(), Precision::FP16, 64, 64, 128, opt)
+                .a.spilled_slices_total(),
+            0u);
+  expect_front_door_parity<fp16_t>(Algo::OneD, 64, 64, 128, opt);
+}
+
+TEST(ExecModes, FrontDoorFullMatchesDataPlaneNChunkedThreeD) {
+  ASSERT_NE(core::plan_gemm(Algo::ThreeD, sim::gh200(), Precision::FP16, 192, 192, 192, {})
+                .n_chunk,
+            0u);
+  expect_front_door_parity<fp16_t>(Algo::ThreeD, 192, 192, 192, {});
 }
 
 // Infeasible configurations must fail identically in every mode: the shape

@@ -25,6 +25,7 @@
 #include "core/arena.hpp"
 #include "core/kami.hpp"
 #include "util/rng.hpp"
+#include "verify/data_plane.hpp"
 
 namespace kami::core {
 namespace {
@@ -305,7 +306,7 @@ TEST(HostKernel, NoFusedMultiplyAdd) {
   }
 #endif
 
-  // A Full-mode KAMI-1D block runs the same chain through Warp::mma.
+  // A KAMI-1D data-plane block runs the same chain through Warp::mma.
   Matrix<float> A16(16, 2), B16(2, 16);
   for (std::size_t i = 0; i < 16; ++i) {
     A16(i, 0) = a1;
@@ -313,11 +314,10 @@ TEST(HostKernel, NoFusedMultiplyAdd) {
     B16(0, i) = b1;
     B16(1, i) = b2;
   }
-  GemmOptions opt;
-  opt.mode = sim::ExecMode::Full;
-  const auto full = kami_1d_gemm(kami::testing::tiny_device(), A16, B16, opt);
-  EXPECT_GT(full.profile.latency, 0.0);
-  EXPECT_TRUE(bits_equal(full.C, Matrix<float>(16, 16)));
+  const auto data =
+      verify::data_plane_gemm(Algo::OneD, kami::testing::tiny_device(), A16, B16);
+  EXPECT_GT(data.profile.latency, 0.0);
+  EXPECT_TRUE(bits_equal(data.C, Matrix<float>(16, 16)));
 }
 
 }  // namespace

@@ -1,18 +1,33 @@
 // Numerical correctness of KAMI-1D/2D/3D against the reference rounding
 // model. 1D and 2D cover k in sequential stage order and must match the
 // reference bit-for-bit; 3D re-associates the reduction across layers and is
-// compared with a precision-dependent tolerance.
+// compared with a precision-dependent tolerance. The C checked is the one
+// the schedule computes on the simulator's element data plane, and the
+// front door's Full C must equal it bit for bit.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "../testing/expect.hpp"
 #include "baselines/reference.hpp"
 #include "core/kami.hpp"
+#include "verify/data_plane.hpp"
 
 namespace kami {
 namespace {
 
 const sim::DeviceSpec& dev() { return sim::gh200(); }
+
+/// The data plane's C for (algo, A, B, opt), after checking that the front
+/// door's Full C equals it.
+template <Scalar T>
+Matrix<T> schedule_product(Algo algo, const Matrix<T>& A, const Matrix<T>& B,
+                           const GemmOptions& opt) {
+  auto data = verify::data_plane_gemm(algo, dev(), A, B, opt);
+  EXPECT_TRUE(kami::testing::bits_equal(gemm(algo, dev(), A, B, opt).C, data.C))
+      << algo_name(algo) << ": the front door's Full C differs from the data plane's";
+  return std::move(data.C);
+}
 
 template <Scalar T>
 void expect_bitwise(Algo algo, std::size_t m, std::size_t n, std::size_t k,
@@ -20,9 +35,9 @@ void expect_bitwise(Algo algo, std::size_t m, std::size_t n, std::size_t k,
   Rng rng(m * 1000003 + n * 1009 + k);
   const auto A = random_matrix<T>(m, k, rng);
   const auto B = random_matrix<T>(k, n, rng);
-  const auto r = gemm(algo, dev(), A, B, opt);
+  const auto C = schedule_product(algo, A, B, opt);
   const auto ref = baselines::reference_gemm(A, B);
-  EXPECT_DOUBLE_EQ(max_abs_diff(r.C, ref), 0.0)
+  EXPECT_DOUBLE_EQ(max_abs_diff(C, ref), 0.0)
       << algo_name(algo) << " m=" << m << " n=" << n << " k=" << k;
 }
 
@@ -32,11 +47,11 @@ void expect_close(Algo algo, std::size_t m, std::size_t n, std::size_t k, double
   Rng rng(m * 7919 + n * 104729 + k);
   const auto A = random_matrix<T>(m, k, rng);
   const auto B = random_matrix<T>(k, n, rng);
-  const auto r = gemm(algo, dev(), A, B, opt);
+  const auto C = schedule_product(algo, A, B, opt);
   const auto ref = baselines::reference_gemm_fp64(A, B);
   // Scale: |C(i,j)| <= k for inputs in [-1, 1).
   const double scale = static_cast<double>(k);
-  EXPECT_LE(max_abs_diff(r.C, ref), rel_tol * scale)
+  EXPECT_LE(max_abs_diff(C, ref), rel_tol * scale)
       << algo_name(algo) << " m=" << m << " n=" << n << " k=" << k;
 }
 

@@ -78,7 +78,7 @@ TEST(SlicedOperand, ResidentSlicesServeCorrectData) {
   const auto src = random_matrix<float>(32, 64, rng);
   blk.phase([&](sim::Warp& w) {
     const auto lay = SliceLayout::make(32, 64, SliceAxis::Cols, 16, 0, 0.0);
-    SlicedOperand<float> op(w, blk.smem(), lay, src, 0, 0);
+    SlicedOperand<float> op(w, blk.smem(), lay, &src, 0, 0);
     for (std::size_t s = 0; s < lay.n_slices; ++s) {
       auto v = op.resident_slice(s);
       for (std::size_t r = 0; r < v.rows(); ++r)
@@ -95,7 +95,7 @@ TEST(SlicedOperand, SpilledSlicesRoundTripThroughSmem) {
   const auto src = random_matrix<float>(32, 64, rng);
   blk.phase([&](sim::Warp& w) {
     const auto lay = SliceLayout::make(32, 64, SliceAxis::Cols, 16, 0, 0.5);
-    SlicedOperand<float> op(w, blk.smem(), lay, src, 0, 0);
+    SlicedOperand<float> op(w, blk.smem(), lay, &src, 0, 0);
     auto scratch = w.alloc_fragment<float>(32, 16);
     op.fetch_slice(w, 3, scratch);  // slice 3 is spilled
     for (std::size_t r = 0; r < 32; ++r)
@@ -111,7 +111,7 @@ TEST(SlicedOperand, FetchingSpilledSliceCostsSmemRead) {
   const auto src = random_matrix<float>(32, 64, rng);
   blk.phase([&](sim::Warp& w) {
     const auto lay = SliceLayout::make(32, 64, SliceAxis::Cols, 16, 0, 0.5);
-    SlicedOperand<float> op(w, blk.smem(), lay, src, 0, 0);
+    SlicedOperand<float> op(w, blk.smem(), lay, &src, 0, 0);
     auto scratch = w.alloc_fragment<float>(32, 16);
     const auto before = w.breakdown().smem_comm;
     op.fetch_slice(w, 0, scratch);  // resident: register copy only
@@ -128,7 +128,7 @@ TEST(SlicedOperand, WindowOffsetsAddressSubmatrices) {
   const auto src = random_matrix<float>(64, 64, rng);
   blk.phase([&](sim::Warp& w) {
     const auto lay = SliceLayout::make(16, 32, SliceAxis::Cols, 16, 0, 0.0);
-    SlicedOperand<float> op(w, blk.smem(), lay, src, 16, 32);  // window at (16,32)
+    SlicedOperand<float> op(w, blk.smem(), lay, &src, 16, 32);  // window at (16,32)
     auto v = op.resident_slice(1);
     EXPECT_FLOAT_EQ(v(0, 0), src(16, 48));
   });
