@@ -239,8 +239,8 @@ void mode_comparison() {
 /// When `gate` is given, the stable subset (orders 16/32/64 — the --smoke
 /// orders, so smoke and full runs produce the same gate table) also lands in
 /// a standalone gate report: only machine-independent cells (simulated
-/// cycles, equivalence flags) plus one dimensionless host-cost ratio, whose
-/// full/timing column is the data plane over TimingOnly. CI `kami_prof
+/// cycles, equivalence flags) plus one dimensionless host-cost ratio, the
+/// data plane over TimingOnly (data plane/timing). CI `kami_prof
 /// diff`s it against the committed baseline: the logical columns, named in
 /// the report's exact_columns meta key, must match exactly, and the host
 /// ratio gets a wide tolerance.
@@ -253,7 +253,7 @@ void fig08_full_sweep(bool smoke, obs::RunReport* gate) {
                       "data plane (ms)", "timing (ms)", "full/timing", "data plane/timing",
                       "profile==full", "C==full"});
   TablePrinter gate_table({"order", "kernel", "latency (cycles)", "profile==full",
-                           "C==full", "full/timing"});
+                           "C==full", "data plane/timing"});
   double warm_total = 0.0, data_total = 0.0;
   bool sweep_ok = true;
   for (const std::size_t n : orders) {
@@ -545,8 +545,8 @@ void run_harness(bool smoke, const std::string& gate_path) {
     // `kami_prof diff` compares tables, not meta, so build-dependent values
     // here cannot trip the CI gate. It does read exact_columns from the
     // baseline report: the gate's logical columns, where any change fails
-    // whatever --tolerance allows. Only full/timing, a host ratio, keeps
-    // the tolerance.
+    // whatever --tolerance allows. Only data plane/timing, a host ratio,
+    // keeps the tolerance.
     gate_report.set_meta("exact_columns", "order|latency (cycles)|profile==full|C==full");
     gate_report.set_meta("simd_mode", core::numeric_simd_name());
     gate_report.set_meta("smoke", smoke ? "1" : "0");

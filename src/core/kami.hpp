@@ -25,6 +25,7 @@
 // equals this composition in profile and bits.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "core/gemm.hpp"
@@ -32,6 +33,9 @@
 #include "core/kami_2d.hpp"
 #include "core/kami_3d.hpp"
 #include "core/numeric_path.hpp"
+#include "core/phase_scope.hpp"
+#include "model/cost_model.hpp"
+#include "sim/block.hpp"
 
 namespace kami {
 
@@ -50,21 +54,55 @@ inline std::size_t numeric_layers(Algo algo, int warps) {
 
 namespace detail {
 
-/// Simulate `plan` for an m x n x k product: timing only without `data`, the
-/// element data plane with it.
+/// The root span of a KAMI kernel's phase trace (GemmOptions::record_regions).
+inline const char* phase_root(Algo algo) {
+  switch (algo) {
+    case Algo::OneD: return "kami_1d";
+    case Algo::TwoD: return "kami_2d";
+    case Algo::ThreeD: return "kami_3d";
+  }
+  throw PreconditionError("unknown algorithm in plan");
+}
+
+/// Simulate `plan` for an m x n x k product on a fresh block. Without
+/// operands the block is TimingOnly: it times the schedule from the shape
+/// alone and the result's C is empty. With A and B (verify::data_plane_gemm)
+/// it is the element data plane, which moves their elements and narrows C
+/// out. Profile, trace and phases are the same either way. This is the one
+/// place that decides whether a run moves data; the kernels only forward
+/// the nullable A, B and C.
 template <Scalar T>
 GemmResult<T> simulate(const sim::DeviceSpec& dev, const Plan& plan, std::size_t m,
                        std::size_t n, std::size_t k, const GemmOptions& opt,
-                       const Operands<T>* data = nullptr) {
-  KAMI_REQUIRE(data == nullptr || (data->A.rows() == m && data->A.cols() == k &&
-                                   data->B.rows() == k && data->B.cols() == n),
-               "operands must have the simulated shape");
+                       const Matrix<T>* A = nullptr, const Matrix<T>* B = nullptr) {
+  const bool moves_data = A != nullptr;
+  KAMI_REQUIRE(moves_data ? B != nullptr && A->rows() == m && A->cols() == k &&
+                                B->rows() == k && B->cols() == n
+                          : B == nullptr,
+               "a data-plane run needs both operands, in the simulated shape");
+  const char* const root = phase_root(plan.algo);
+  sim::ThreadBlock blk(dev, plan.p,
+                       moves_data ? sim::ExecMode::Full : sim::ExecMode::TimingOnly);
+  blk.set_deadline(opt.deadline_cycles);
+  if (opt.record_trace) blk.enable_trace();
+
+  // Optional phase trace on the block's simulated clock (core/phase_scope.hpp).
+  std::optional<obs::TraceBuilder> phases;
+  if (opt.record_regions) phases.emplace(root, root, blk.cycles());
+  obs::TraceBuilder* const ph = phases ? &*phases : nullptr;
+
+  GemmResult<T> out{moves_data ? Matrix<T>(m, n) : Matrix<T>(), {}, plan.p,
+                    plan.smem_ratio, nullptr, nullptr};
+  Matrix<T>* const C = moves_data ? &out.C : nullptr;
   switch (plan.algo) {
-    case Algo::OneD: return simulate_1d(dev, plan, m, n, k, opt, data);
-    case Algo::TwoD: return simulate_2d(dev, plan, m, n, k, opt, data);
-    case Algo::ThreeD: return simulate_3d(dev, plan, m, n, k, opt, data);
+    case Algo::OneD: simulate_1d(blk, ph, plan, m, n, k, opt, A, B, C); break;
+    case Algo::TwoD: simulate_2d(blk, ph, plan, m, n, k, opt, A, B, C); break;
+    case Algo::ThreeD: simulate_3d(blk, ph, plan, m, n, k, opt, A, B, C); break;
   }
-  throw PreconditionError("unknown algorithm in plan");
+  out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
+  if (opt.record_trace) out.trace = blk.take_trace();
+  out.regions = finish_phases(ph, blk);
+  return out;
 }
 
 }  // namespace detail

@@ -29,38 +29,25 @@
 #include "core/phase_scope.hpp"
 #include "core/planner.hpp"
 #include "core/sliced_operand.hpp"
-#include "model/cost_model.hpp"
 #include "sim/block.hpp"
 
 namespace kami::core::detail {
 
-/// Algorithm 1 on a simulated block of plan.p warps for an m x n x k product.
-/// With `data` the block moves A's and B's elements and returns C (the data
-/// plane); without, it times the schedule from the shape and returns an
-/// empty C. Profile, trace and phases are the same either way.
+/// Algorithm 1 for an m x n x k product on `blk` (plan.p warps), each phase
+/// bracketed on `ph` (null when phases are not recorded). A, B and C are the
+/// host matrices of a data-plane run and all null in a timing run; which
+/// one it is, detail::simulate (core/kami.hpp) decides.
 template <Scalar T>
-GemmResult<T> simulate_1d(const sim::DeviceSpec& dev, const Plan& plan, std::size_t m,
-                          std::size_t n, std::size_t k, const GemmOptions& opt,
-                          const Operands<T>* data) {
+void simulate_1d(sim::ThreadBlock& blk, obs::TraceBuilder* ph, const Plan& plan,
+                 std::size_t m, std::size_t n, std::size_t k, const GemmOptions& opt,
+                 const Matrix<T>* A, const Matrix<T>* B, Matrix<T>* C) {
   using Acc = typename num_traits<T>::acc_t;
-  const Matrix<T>* const A = data != nullptr ? &data->A : nullptr;
-  const Matrix<T>* const B = data != nullptr ? &data->B : nullptr;
 
   const auto p = static_cast<std::size_t>(plan.p);
   const std::size_t row_chunk = m / p;            // rows of A_i / C_i
   const std::size_t sw = plan.slice_w;            // stripe width along k
   const std::size_t stripes = k / sw;             // broadcast stages
   const std::size_t q = (stripes + p - 1) / p;    // stripes per owner warp
-
-  sim::ThreadBlock blk(dev, plan.p,
-                       data != nullptr ? sim::ExecMode::Full : sim::ExecMode::TimingOnly);
-  blk.set_deadline(opt.deadline_cycles);
-  if (opt.record_trace) blk.enable_trace();
-
-  // Optional phase trace on the block's simulated clock (core/phase_scope.hpp).
-  std::optional<obs::TraceBuilder> phases;
-  if (opt.record_regions) phases.emplace("kami_1d", "kami_1d", blk.cycles());
-  obs::TraceBuilder* const ph = phases ? &*phases : nullptr;
 
   // Per-warp state, indexed by warp id (phases run warps in id order).
   std::vector<SlicedOperand<T>> Aop;
@@ -150,9 +137,6 @@ GemmResult<T> simulate_1d(const sim::DeviceSpec& dev, const Plan& plan, std::siz
   }
 
   // Line 13: write back C, narrowed to the storage precision.
-  GemmResult<T> out{data != nullptr ? Matrix<T>(m, n) : Matrix<T>(), {}, plan.p,
-                    plan.smem_ratio, nullptr, nullptr};
-  Matrix<T>* const C = data != nullptr ? &out.C : nullptr;
   {
     PhaseScope r(ph, blk, "writeback");
     blk.phase([&](sim::Warp& w) {
@@ -161,11 +145,6 @@ GemmResult<T> simulate_1d(const sim::DeviceSpec& dev, const Plan& plan, std::siz
     });
     blk.sync();
   }
-
-  out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
-  if (opt.record_trace) out.trace = blk.take_trace();
-  out.regions = finish_phases(ph, blk);
-  return out;
 }
 
 }  // namespace kami::core::detail

@@ -9,42 +9,28 @@
 // received pair and accumulates C(r, c).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/gemm.hpp"
 #include "core/phase_scope.hpp"
 #include "core/planner.hpp"
 #include "core/sliced_operand.hpp"
-#include "model/cost_model.hpp"
 #include "sim/block.hpp"
 
 namespace kami::core::detail {
 
-/// Algorithm 2 on a simulated block of plan.p warps for an m x n x k
-/// product; `data` as in simulate_1d (core/kami_1d.hpp).
+/// Algorithm 2 for an m x n x k product on `blk` (plan.p warps); `ph`, A, B
+/// and C as in simulate_1d (core/kami_1d.hpp).
 template <Scalar T>
-GemmResult<T> simulate_2d(const sim::DeviceSpec& dev, const Plan& plan, std::size_t m,
-                          std::size_t n, std::size_t k, const GemmOptions& opt,
-                          const Operands<T>* data) {
+void simulate_2d(sim::ThreadBlock& blk, obs::TraceBuilder* ph, const Plan& plan,
+                 std::size_t m, std::size_t n, std::size_t k, const GemmOptions& opt,
+                 const Matrix<T>* A, const Matrix<T>* B, Matrix<T>* C) {
   using Acc = typename num_traits<T>::acc_t;
-  const Matrix<T>* const A = data != nullptr ? &data->A : nullptr;
-  const Matrix<T>* const B = data != nullptr ? &data->B : nullptr;
 
   const auto p = static_cast<std::size_t>(plan.p);
   const auto q = static_cast<std::size_t>(plan.grid);
   const std::size_t mb = m / q, nb = n / q, kb = k / q;
   const std::size_t slices = kb / plan.slice_w;
-
-  sim::ThreadBlock blk(dev, plan.p,
-                       data != nullptr ? sim::ExecMode::Full : sim::ExecMode::TimingOnly);
-  blk.set_deadline(opt.deadline_cycles);
-  if (opt.record_trace) blk.enable_trace();
-
-  // Optional phase trace on the block's simulated clock (core/phase_scope.hpp).
-  std::optional<obs::TraceBuilder> phases;
-  if (opt.record_regions) phases.emplace("kami_2d", "kami_2d", blk.cycles());
-  obs::TraceBuilder* const ph = phases ? &*phases : nullptr;
 
   const auto row_of = [&](std::size_t id) { return id / q; };
   const auto col_of = [&](std::size_t id) { return id % q; };
@@ -138,9 +124,6 @@ GemmResult<T> simulate_2d(const sim::DeviceSpec& dev, const Plan& plan, std::siz
     }
   }
 
-  GemmResult<T> out{data != nullptr ? Matrix<T>(m, n) : Matrix<T>(), {}, plan.p,
-                    plan.smem_ratio, nullptr, nullptr};
-  Matrix<T>* const C = data != nullptr ? &out.C : nullptr;
   {
     PhaseScope r(ph, blk, "writeback");
     blk.phase([&](sim::Warp& w) {
@@ -149,11 +132,6 @@ GemmResult<T> simulate_2d(const sim::DeviceSpec& dev, const Plan& plan, std::siz
     });
     blk.sync();
   }
-
-  out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
-  if (opt.record_trace) out.trace = blk.take_trace();
-  out.regions = finish_phases(ph, blk);
-  return out;
 }
 
 }  // namespace kami::core::detail

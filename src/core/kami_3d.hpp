@@ -33,36 +33,23 @@
 #include "core/phase_scope.hpp"
 #include "core/planner.hpp"
 #include "core/sliced_operand.hpp"
-#include "model/cost_model.hpp"
 #include "sim/block.hpp"
 
 namespace kami::core::detail {
 
-/// The 3D algorithm on a simulated block of plan.p warps for an m x n x k
-/// product; `data` as in simulate_1d (core/kami_1d.hpp).
+/// The 3D algorithm for an m x n x k product on `blk` (plan.p warps); `ph`,
+/// A, B and C as in simulate_1d (core/kami_1d.hpp).
 template <Scalar T>
-GemmResult<T> simulate_3d(const sim::DeviceSpec& dev, const Plan& plan, std::size_t m,
-                          std::size_t n, std::size_t k, const GemmOptions& opt,
-                          const Operands<T>* data) {
+void simulate_3d(sim::ThreadBlock& blk, obs::TraceBuilder* ph, const Plan& plan,
+                 std::size_t m, std::size_t n, std::size_t k, const GemmOptions& opt,
+                 const Matrix<T>* A, const Matrix<T>* B, Matrix<T>* C) {
   using Acc = typename num_traits<T>::acc_t;
-  const Matrix<T>* const A = data != nullptr ? &data->A : nullptr;
-  const Matrix<T>* const B = data != nullptr ? &data->B : nullptr;
 
   const auto p = static_cast<std::size_t>(plan.p);
   const auto c = static_cast<std::size_t>(plan.grid);
   const std::size_t mb = m / c, nb = n / c, kb = k / c;
   const std::size_t slices = kb / plan.slice_w;
   const std::size_t nc = plan.n_chunk == 0 ? nb : plan.n_chunk;  // C chunk width
-
-  sim::ThreadBlock blk(dev, plan.p,
-                       data != nullptr ? sim::ExecMode::Full : sim::ExecMode::TimingOnly);
-  blk.set_deadline(opt.deadline_cycles);
-  if (opt.record_trace) blk.enable_trace();
-
-  // Optional phase trace on the block's simulated clock (core/phase_scope.hpp).
-  std::optional<obs::TraceBuilder> phases;
-  if (opt.record_regions) phases.emplace("kami_3d", "kami_3d", blk.cycles());
-  obs::TraceBuilder* const ph = phases ? &*phases : nullptr;
 
   const auto layer_of = [&](std::size_t id) { return id / (c * c); };
   const auto row_of = [&](std::size_t id) { return (id % (c * c)) / c; };
@@ -101,10 +88,6 @@ GemmResult<T> simulate_3d(const sim::DeviceSpec& dev, const Plan& plan, std::siz
   std::vector<sim::SmemTile<Acc>> SmP;  // one per (i, j)
   for (std::size_t g = 0; g < c * c; ++g)
     SmP.push_back(blk.smem().alloc<Acc>(mb, red_cols));
-
-  GemmResult<T> out{data != nullptr ? Matrix<T>(m, n) : Matrix<T>(), {}, plan.p,
-                    plan.smem_ratio, nullptr, nullptr};
-  Matrix<T>* const C = data != nullptr ? &out.C : nullptr;
 
   for (std::size_t n0 = 0; n0 < nb; n0 += nc) {
     // Per-chunk accumulators and receive buffers.
@@ -247,11 +230,6 @@ GemmResult<T> simulate_3d(const sim::DeviceSpec& dev, const Plan& plan, std::siz
     });
     blk.sync();
   }
-
-  out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
-  if (opt.record_trace) out.trace = blk.take_trace();
-  out.regions = finish_phases(ph, blk);
-  return out;
 }
 
 }  // namespace kami::core::detail

@@ -1,7 +1,7 @@
-// Kernel phases as spans. When GemmOptions::record_regions is set, a kernel
-// builds an obs::TraceBuilder whose root span is the kernel ("kami_1d", ...)
-// and brackets every phase occurrence with a PhaseScope, which opens and
-// closes one child span. The builder's logical clock mirrors the block's
+// Kernel phases as spans. When GemmOptions::record_regions is set, the
+// simulation (core::detail::simulate) builds an obs::TraceBuilder whose root
+// span is the kernel ("kami_1d", ...), and the kernel brackets every phase
+// occurrence with a PhaseScope, which opens and closes one child span. The builder's logical clock mirrors the block's
 // simulated clock: it is moved to blk.cycles() before each open/close and
 // before finish(). This lives in core/ because kami_obs must not depend on
 // the simulator.

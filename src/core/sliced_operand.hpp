@@ -8,10 +8,9 @@
 // resident slices as register views, spilled slices as charged shared-memory
 // reads. The spill ratio is the Fig 10 tuning knob.
 //
-// The same file holds the host side of a KAMI block: the operands a
-// data-plane run moves in (Operands) and the writeback that narrows C out
-// (store_result). A timing run passes no host matrix: its block holds no
-// element, and every op charges from the shape alone.
+// The same file holds the writeback that narrows a warp's accumulator into
+// the host C (store_result). A timing run passes no host matrix to either:
+// its block holds no element, and every op charges from the shape alone.
 #pragma once
 
 #include <cstddef>
@@ -64,13 +63,6 @@ struct SliceLayout {
   }
 };
 
-/// The host matrices a KAMI data-plane run moves through its block.
-template <Scalar T>
-struct Operands {
-  const Matrix<T>& A;
-  const Matrix<T>& B;
-};
-
 /// Writeback of one warp's accumulator: narrow it into C at (r0, c0). A
 /// timing run has no C (null) and charges the same store.
 template <Scalar T>
@@ -87,10 +79,11 @@ template <Scalar T>
 class SlicedOperand {
  public:
   /// Materialize one warp's operand from the host matrix window at (r0, c0).
-  /// `src` is null in a timing run, whose warp moves no data. Placement
-  /// costs follow the warp's gmem-charging mode: in the paper's block-level
-  /// loop the data is already resident and placement is free; batched
-  /// drivers charge the global loads and spill writes.
+  /// `src` is null in a timing run: nothing is packed or filled, and the
+  /// placement is charged all the same. Placement costs follow the warp's
+  /// gmem-charging mode: in the paper's block-level loop the data is already
+  /// resident and placement is free; batched drivers charge the global loads
+  /// and spill writes.
   SlicedOperand(sim::Warp& w, sim::SharedMemory& smem, const SliceLayout& lay,
                 const Matrix<T>* src, std::size_t r0, std::size_t c0)
       : lay_(lay),
@@ -99,8 +92,6 @@ class SlicedOperand {
                                           : lay.rows,
               lay.axis == SliceAxis::Cols ? lay.resident_slices_total() * lay.slice_w
                                           : lay.cols) {
-    KAMI_REQUIRE(src != nullptr || !w.numerics_enabled(),
-                 "a warp that moves data needs the source matrix");
     spill_.reserve(lay_.spilled_slices_total());
     const std::size_t slice_bytes = lay_.slice_elems() * sizeof(T);
     for (std::size_t s = 0; s < lay_.n_slices; ++s) {
@@ -109,7 +100,7 @@ class SlicedOperand {
         // Pack into the resident fragment at the resident index. Source and
         // destination rows are both contiguous, so each slice row is one
         // memcpy (the seed packed element by element).
-        if (w.numerics_enabled() && lay_.slice_cols() > 0) {
+        if (src != nullptr && lay_.slice_cols() > 0) {
           const std::size_t off = lay_.resident_index(s) * lay_.slice_w;
           for (std::size_t r = 0; r < lay_.slice_rows(); ++r) {
             const std::size_t fr = lay_.axis == SliceAxis::Rows ? off + r : r;
@@ -125,7 +116,7 @@ class SlicedOperand {
         // Rows stream from the source matrix straight into the tile — the
         // seed staged each slice through a per-call std::vector.
         auto tile = smem.alloc<T>(lay_.slice_rows(), lay_.slice_cols());
-        if (w.numerics_enabled() && lay_.slice_cols() > 0)
+        if (src != nullptr && lay_.slice_cols() > 0)
           for (std::size_t r = 0; r < lay_.slice_rows(); ++r)
             smem.write_row(tile, r, &(*src)(r0 + sr + r, c0 + sc), lay_.slice_cols());
         if (w.gmem_charging()) {

@@ -25,8 +25,7 @@ core::GemmResult<T> data_plane_gemm(core::Algo algo, const sim::DeviceSpec& dev,
   const std::size_t m = A.rows(), k = A.cols(), n = B.cols();
   KAMI_REQUIRE(B.rows() == k, "inner dimensions must agree");
   const core::Plan plan = core::plan_gemm(algo, dev, num_traits<T>::precision, m, n, k, opt);
-  const core::Operands<T> data{A, B};
-  return core::detail::simulate<T>(dev, plan, m, n, k, opt, &data);
+  return core::detail::simulate<T>(dev, plan, m, n, k, opt, &A, &B);
 }
 
 }  // namespace kami::verify

@@ -13,8 +13,10 @@
 //     records none;
 //   * a front-door Full call raises what the data plane raises: deadline
 //     aborts and injected allocation failures hit the same op;
-//   * the sim.* counters and gauges a run publishes are identical in Full
-//     and TimingOnly, although a TimingOnly block holds no data plane.
+//   * the sim.* counters and gauges a run publishes are identical in the
+//     data plane and the front door's Full and TimingOnly (for a block
+//     baseline: in its Full and TimingOnly), although a TimingOnly block
+//     holds no element.
 // Checked across the 1D/2D/3D x device x precision grid, spill ratios,
 // charged global I/O, and the block-level baselines, which time in Full and
 // TimingOnly and refuse NumericsOnly (a ThreadBlock always times).
@@ -326,18 +328,23 @@ TEST(ExecModes, FrontDoorFullMatchesDataPlaneNChunkedThreeD) {
   expect_front_door_parity<fp16_t>(Algo::ThreeD, 192, 192, 192, {});
 }
 
-// Infeasible configurations must fail identically in every mode: the shape
-// checks and allocations run unconditionally, so TimingOnly and the timed
-// part of the pipeline report the same feasibility errors as Full.
+// Infeasible configurations must fail identically with and without data: the
+// shape checks and allocations run unconditionally, so the front door's Full
+// and TimingOnly report the data plane's feasibility error, message and all.
 TEST(ExecModes, TimingOnlyThrowsSameAsFull) {
   Rng rng(5);
   const auto A = random_matrix<double>(128, 128, rng);
   const auto B = random_matrix<double>(128, 128, rng);
+  const std::string overflow = thrown<sim::RegisterOverflow>(
+      [&] { return verify::data_plane_gemm(Algo::ThreeD, sim::gh200(), A, B); });
+  EXPECT_NE(overflow, "");
   for (const auto mode : {sim::ExecMode::Full, sim::ExecMode::TimingOnly}) {
     GemmOptions opt;
     opt.mode = mode;
-    EXPECT_THROW((void)gemm(Algo::ThreeD, sim::gh200(), A, B, opt),
-                 sim::RegisterOverflow);
+    EXPECT_EQ(thrown<sim::RegisterOverflow>(
+                  [&] { return gemm(Algo::ThreeD, sim::gh200(), A, B, opt); }),
+              overflow)
+        << sim::exec_mode_name(mode);
   }
 }
 
@@ -390,14 +397,13 @@ TEST(ExecModes, SyclbenchBaseline) {
 // sim.* metrics do not depend on the mode
 // ---------------------------------------------------------------------------
 
-/// The sim.* counters and gauges that run(mode) publishes into a fresh
-/// registry.
+/// The sim.* counters and gauges that run() publishes into a fresh registry.
 template <typename Run>
-std::map<std::string, double> sim_metrics(Run&& run, sim::ExecMode mode) {
+std::map<std::string, double> sim_metrics(Run&& run) {
   obs::MetricRegistry reg;
   {
     const obs::ScopedMetricShard shard(reg);
-    run(mode);
+    run();
   }
   std::map<std::string, double> out;
   for (const auto& values : {reg.counter_values(), reg.gauge_values()})
@@ -406,13 +412,36 @@ std::map<std::string, double> sim_metrics(Run&& run, sim::ExecMode mode) {
   return out;
 }
 
-/// Full and TimingOnly publish the same sim.* values, bit for bit.
+/// The sim.* values a KAMI kernel's data plane publishes at (A, B, opt),
+/// checked equal, bit for bit, to what the front door's Full and TimingOnly
+/// publish. The data plane's C must be the front door's: it moved the
+/// elements.
+template <Scalar T>
+std::map<std::string, double> kami_sim_metrics(Algo algo, const Matrix<T>& A,
+                                               const Matrix<T>& B, GemmOptions opt) {
+  Matrix<T> data_c;
+  const auto data = sim_metrics(
+      [&] { data_c = verify::data_plane_gemm(algo, sim::gh200(), A, B, opt).C; });
+  for (const auto mode : {sim::ExecMode::Full, sim::ExecMode::TimingOnly}) {
+    opt.mode = mode;
+    Matrix<T> c;
+    EXPECT_EQ(sim_metrics([&] { c = gemm(algo, sim::gh200(), A, B, opt).C; }), data)
+        << sim::exec_mode_name(mode);
+    if (mode == sim::ExecMode::Full) {
+      EXPECT_TRUE(bits_equal(data_c, c));
+    }
+  }
+  return data;
+}
+
+/// A block baseline's Full (its data plane) and TimingOnly publish the same
+/// sim.* values, bit for bit.
 template <typename Run>
-void expect_sim_metrics_match(const std::string& kernel, Run&& run) {
+void expect_baseline_sim_metrics_match(const std::string& kernel, Run&& run) {
   SCOPED_TRACE(kernel);
-  const auto full = sim_metrics(run, sim::ExecMode::Full);
+  const auto full = sim_metrics([&] { run(sim::ExecMode::Full); });
   EXPECT_GT(full.at("sim.mma.flops") + full.at("sim.vector.flops"), 0.0);
-  EXPECT_EQ(sim_metrics(run, sim::ExecMode::TimingOnly), full);
+  EXPECT_EQ(sim_metrics([&] { run(sim::ExecMode::TimingOnly); }), full);
 }
 
 TEST(ExecModes, SimMetricsMatchFullInTimingOnly) {
@@ -421,25 +450,23 @@ TEST(ExecModes, SimMetricsMatchFullInTimingOnly) {
   const auto B = random_matrix<fp16_t>(32, 32, rng);
   for (const Algo algo : {Algo::OneD, Algo::TwoD, Algo::ThreeD}) {
     for (const bool spilled : {false, true}) {
-      expect_sim_metrics_match(std::string(algo_name(algo)) + (spilled ? " spilled" : ""),
-                               [&](sim::ExecMode mode) {
-                                 GemmOptions opt;
-                                 opt.mode = mode;
-                                 if (spilled) {
-                                   opt.smem_ratio = 0.5;
-                                   opt.charge_global_io = true;
-                                 }
-                                 (void)gemm(algo, sim::gh200(), A, B, opt);
-                               });
+      SCOPED_TRACE(std::string(algo_name(algo)) + (spilled ? " spilled" : ""));
+      GemmOptions opt;
+      if (spilled) {
+        opt.smem_ratio = 0.5;
+        opt.charge_global_io = true;
+      }
+      const auto data = kami_sim_metrics(algo, A, B, opt);
+      EXPECT_GT(data.at("sim.mma.flops"), 0.0);
     }
   }
-  expect_sim_metrics_match("cuBLASDx-like", [&](sim::ExecMode mode) {
+  expect_baseline_sim_metrics_match("cuBLASDx-like", [&](sim::ExecMode mode) {
     (void)baselines::cublasdx_gemm(sim::gh200(), A, B, 4, false, mode);
   });
-  expect_sim_metrics_match("CUTLASS-like", [&](sim::ExecMode mode) {
+  expect_baseline_sim_metrics_match("CUTLASS-like", [&](sim::ExecMode mode) {
     (void)baselines::cutlass_gemm(sim::gh200(), A, B, true, nullptr, mode);
   });
-  expect_sim_metrics_match("SYCL-Bench-like", [&](sim::ExecMode mode) {
+  expect_baseline_sim_metrics_match("SYCL-Bench-like", [&](sim::ExecMode mode) {
     (void)baselines::syclbench_gemm(sim::intel_max1100(), A, B, 4, false, mode);
   });
 }
@@ -453,7 +480,7 @@ void expect_pinned_baseline(const std::string& kernel, Run&& run, double latency
   for (const auto mode : {sim::ExecMode::Full, sim::ExecMode::TimingOnly}) {
     SCOPED_TRACE(kernel + " " + sim::exec_mode_name(mode));
     sim::KernelProfile profile;
-    EXPECT_EQ(sim_metrics([&](sim::ExecMode m) { profile = run(m); }, mode), expected);
+    EXPECT_EQ(sim_metrics([&] { profile = run(mode); }), expected);
     EXPECT_EQ(profile.latency, latency);
     EXPECT_EQ(profile.smem_bytes, smem_bytes);
     EXPECT_EQ(profile.reg_bytes_per_warp, reg_bytes_per_warp);
@@ -462,10 +489,11 @@ void expect_pinned_baseline(const std::string& kernel, Run&& run, double latency
 
 // One small point's values, recorded from the simulator when every warp
 // still resolved its own metric handles: sharing one handle set per block
-// must not move a sum. The block baselines' values, with global I/O charged,
-// were recorded while their staging phase still copied A and B into shared
-// memory: charging that copy without performing it must not move a sum
-// either.
+// must not move a sum. KAMI-3D's hold for its data plane and the front
+// door's Full and TimingOnly. The block baselines' values, with global I/O
+// charged, were recorded while their staging phase still copied A and B into
+// shared memory: charging that copy without performing it must not move a
+// sum either.
 TEST(ExecModes, SimMetricsPinnedAtOneSmallPoint) {
   Rng rng(31);
   const auto A = random_matrix<fp16_t>(32, 32, rng);
@@ -488,14 +516,7 @@ TEST(ExecModes, SimMetricsPinnedAtOneSmallPoint) {
       {"sim.sync.wait_cycles", 3262.603008},
       {"sim.vector.flops", 1024},
   };
-  for (const auto mode : {sim::ExecMode::Full, sim::ExecMode::TimingOnly}) {
-    const auto run = [&](sim::ExecMode m) {
-      GemmOptions opt;
-      opt.mode = m;
-      (void)gemm(Algo::ThreeD, sim::gh200(), A, B, opt);
-    };
-    EXPECT_EQ(sim_metrics(run, mode), expected) << sim::exec_mode_name(mode);
-  }
+  EXPECT_EQ(kami_sim_metrics(Algo::ThreeD, A, B, {}), expected);
 
   expect_pinned_baseline(
       "cuBLASDx-like",
