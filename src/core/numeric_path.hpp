@@ -39,9 +39,10 @@
 
 namespace kami::core {
 
-// The kernel itself (gemm_accumulate, its baseline and AVX2 variants,
-// kNumericKTile, numeric_simd_lanes/name) lives in core/vector_kernels.hpp so
-// the Full-mode simulator data plane (sim/warp.hpp) runs the exact same code.
+// The kernel itself (gemm_accumulate, its baseline, AVX2 and AVX-512F
+// variants, kNumericKTile, numeric_simd_lanes/name) lives in
+// core/vector_kernels.hpp so the Full-mode simulator data plane
+// (sim/warp.hpp) runs the exact same code.
 
 namespace detail {
 

@@ -11,15 +11,17 @@
 //     ascending order. Lanes never exchange or re-associate values, so each
 //     lane performs the same single-rounded multiply-add sequence the scalar
 //     loop performs, and the j-tail that doesn't fill a vector runs the same
-//     chain in scalar registers. Register blocking (kHostKernelRows rows x 2
-//     vectors of C held across a k-tile), vector width, the ISA variant and
-//     tail handling therefore cannot change any bit of any C element (the
-//     HostKernel suite, the differential harness and the KAMI_NO_SIMD CI
-//     job pin this).
+//     chain in narrower vectors and then scalar registers. Register blocking
+//     (kHostKernelRows rows x 2 vectors of C held across a k-tile), vector
+//     width, the ISA variant and tail handling therefore cannot change any
+//     bit of any C element (the HostKernel suite, the differential harness
+//     and the KAMI_NO_SIMD CI job pin this).
 //   * Contraction is pinned off: the library's public compile options carry
-//     -ffp-contract=off, and the AVX2 variant enables no FMA, so
-//     `c += a * b` is a rounded multiply followed by a rounded add in every
-//     build and every variant (HostKernel.NoFusedMultiplyAdd).
+//     -ffp-contract=off, and neither the AVX2 nor the AVX-512F variant
+//     enables FMA, so `c += a * b` is a rounded multiply followed by a
+//     rounded add in every build and every variant
+//     (HostKernel.NoFusedMultiplyAdd; the host_kernel_no_fma ctest finds no
+//     fused instruction in any compiled variant).
 //   * A scalar times a vector broadcasts the scalar into every lane (one
 //     broadcast instruction); it never goes through `v + x`, which would
 //     quietly turn -0.0 into +0.0 and flip downstream product signs.
@@ -32,6 +34,8 @@
 #include <cstring>
 #include <functional>
 
+#include "util/host_isa.hpp"
+
 namespace kami::core {
 
 /// k-tile width for the accumulate loops: a tile of B rows
@@ -43,24 +47,21 @@ inline constexpr std::size_t kNumericKTile = 64;
 
 namespace detail {
 
-/// Vector bytes per variant: the baseline uses the register width every
-/// x86-64 (SSE2) and AArch64 (NEON) CPU has; the AVX2 variant doubles it.
-/// A vector wider than the target's registers is split into pairs and
-/// spills the accumulator block, so each variant uses its native width.
-inline constexpr std::size_t kBaselineVectorBytes = 16;
-inline constexpr std::size_t kAvx2VectorBytes = 32;
+/// Vector bytes per variant (util/host_isa.hpp).
+inline constexpr std::size_t kBaselineVectorBytes = vector_bytes(HostIsa::Baseline);
+inline constexpr std::size_t kAvx2VectorBytes = vector_bytes(HostIsa::Avx2);
+inline constexpr std::size_t kAvx512VectorBytes = vector_bytes(HostIsa::Avx512f);
 
-/// Rows of C the kernel holds in registers (MR): each B vector load feeds
-/// MR multiply-adds. Measured best or near-best among 1, 2, 3, 4 and 6
-/// with both the baseline and the AVX2 instruction set.
+/// Rows of C the kernel holds in registers (MR), in every variant: each B
+/// vector load feeds MR multiply-adds. Measured best or near-best among 1,
+/// 2, 3, 4 and 6 with the baseline and AVX2 instruction sets, and among 4,
+/// 6, 8 and 12 with AVX-512F's 32 registers, where 6 and 8 gain 5-7 % at
+/// order 256 but lose 11-22 % on the 8-24-row windows the block baselines
+/// multiply (DESIGN.md §12). Splitting n into blocks that keep the B k-tile
+/// in L1 (64 or 128 columns) did not pay at orders 192-256 either.
 inline constexpr std::size_t kHostKernelRows = 4;
 
-#if !defined(KAMI_NO_SIMD) && (defined(__GNUC__) || defined(__clang__))
-#define KAMI_NUMERIC_SIMD 1
-#if defined(__x86_64__) || defined(__i386__)
-#define KAMI_HOST_KERNEL_AVX2 1
-#endif
-
+#ifdef KAMI_NUMERIC_SIMD
 /// A GCC/Clang generic vector of Bytes / sizeof(Acc) accumulator lanes.
 template <typename Acc, std::size_t Bytes>
 struct SimdVec {
@@ -100,8 +101,10 @@ template <std::size_t VB, std::size_t MR, std::size_t NV, typename Acc>
 /// The kernel body, for MR rows of C with VB-byte vectors:
 ///   c[r*ldc + j] += sum_{kk in [kt, kend)} a[r*lda + kk] * b[kk*ldb + j]
 /// for r < MR and j < n, accumulated in ascending kk per element: register
-/// tiles of 2 vectors, then one vector, then the scalar chain per column.
-/// Always inlined, so each variant compiles it with its own instruction set.
+/// tiles of 2 vectors, then one vector, then (in the wider variants) one
+/// half-width vector, so a window narrower than one vector still runs in
+/// vector lanes, then the scalar chain per column. Always inlined, so each
+/// variant compiles it with its own instruction set.
 template <std::size_t VB, std::size_t MR, typename Acc>
 [[gnu::always_inline]] inline void gemm_row_block(Acc* __restrict__ c, std::size_t ldc,
                                                   const Acc* __restrict__ a, std::size_t lda,
@@ -115,6 +118,12 @@ template <std::size_t VB, std::size_t MR, typename Acc>
   if (j + W <= n) {
     gemm_register_tile<VB, MR, 1>(c, ldc, a, lda, b, ldb, kt, kend, j);
     j += W;
+  }
+  if constexpr (VB > kBaselineVectorBytes) {
+    if (j + W / 2 <= n) {
+      gemm_register_tile<VB / 2, MR, 1>(c, ldc, a, lda, b, ldb, kt, kend, j);
+      j += W / 2;
+    }
   }
   for (; j < n; ++j) {
     Acc cs[MR];
@@ -177,9 +186,10 @@ void gemm_kernel_baseline(Acc* c, std::size_t ldc, const Acc* a, std::size_t lda
 #endif
 }
 
-#ifdef KAMI_HOST_KERNEL_AVX2
-/// The same kernel body compiled for AVX2, with 32-byte vectors. No FMA is
-/// enabled, so nothing can contract.
+#ifdef KAMI_HOST_X86_VARIANTS
+/// The same kernel body compiled for AVX2, with 32-byte vectors, and for
+/// AVX-512F, with 64-byte vectors. Neither enables FMA, so nothing can
+/// contract.
 template <typename Acc>
 [[gnu::target("avx2")]] void gemm_kernel_avx2(Acc* c, std::size_t ldc, const Acc* a,
                                               std::size_t lda, const Acc* b, std::size_t ldb,
@@ -187,24 +197,27 @@ template <typename Acc>
   gemm_tiles<kAvx2VectorBytes>(c, ldc, a, lda, b, ldb, m, n, k);
 }
 
-/// Whether this CPU runs the AVX2 variant; probed once per process.
-inline bool cpu_has_avx2() noexcept {
-  static const bool has = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return has;
+template <typename Acc>
+[[gnu::target("avx512f")]] void gemm_kernel_avx512(Acc* c, std::size_t ldc, const Acc* a,
+                                                   std::size_t lda, const Acc* b,
+                                                   std::size_t ldb, std::size_t m,
+                                                   std::size_t n, std::size_t k) {
+  gemm_tiles<kAvx512VectorBytes>(c, ldc, a, lda, b, ldb, m, n, k);
 }
 #endif
 
-/// The host GEMM kernel every data plane calls: the AVX2 variant when the
-/// CPU has it, the baseline otherwise. Both produce the same bits.
+/// The host GEMM kernel every data plane calls: the widest variant the CPU
+/// runs (host_isa()), the baseline otherwise. All produce the same bits.
 template <typename Acc>
 inline void gemm_accumulate(Acc* c, std::size_t ldc, const Acc* a, std::size_t lda,
                             const Acc* b, std::size_t ldb, std::size_t m, std::size_t n,
                             std::size_t k) {
-#ifdef KAMI_HOST_KERNEL_AVX2
-  if (cpu_has_avx2()) return gemm_kernel_avx2(c, ldc, a, lda, b, ldb, m, n, k);
+#ifdef KAMI_HOST_X86_VARIANTS
+  switch (host_isa()) {
+    case HostIsa::Avx512f: return gemm_kernel_avx512(c, ldc, a, lda, b, ldb, m, n, k);
+    case HostIsa::Avx2: return gemm_kernel_avx2(c, ldc, a, lda, b, ldb, m, n, k);
+    case HostIsa::Baseline: break;
+  }
 #endif
   gemm_kernel_baseline(c, ldc, a, lda, b, ldb, m, n, k);
 }
@@ -240,11 +253,8 @@ inline void add_span(Acc* dst, const Acc* src, std::size_t n) {
 /// benchmarks can stamp the kernel configuration into their run-report meta.
 template <typename Acc>
 inline std::size_t numeric_simd_lanes() noexcept {
-#ifdef KAMI_HOST_KERNEL_AVX2
-  if (detail::cpu_has_avx2()) return detail::kAvx2VectorBytes / sizeof(Acc);
-#endif
 #ifdef KAMI_NUMERIC_SIMD
-  return detail::kBaselineVectorBytes / sizeof(Acc);
+  return vector_bytes(host_isa()) / sizeof(Acc);
 #else
   return 1;
 #endif
@@ -252,10 +262,12 @@ inline std::size_t numeric_simd_lanes() noexcept {
 
 /// The kernel variant gemm_accumulate runs on this CPU.
 inline const char* numeric_simd_name() noexcept {
-#ifdef KAMI_HOST_KERNEL_AVX2
-  if (detail::cpu_has_avx2()) return "vector-ext-32B+avx2";
-#endif
 #ifdef KAMI_NUMERIC_SIMD
+  switch (host_isa()) {
+    case HostIsa::Avx512f: return "vector-ext-64B+avx512f";
+    case HostIsa::Avx2: return "vector-ext-32B+avx2";
+    case HostIsa::Baseline: break;
+  }
   return "vector-ext-16B";
 #else
   return "scalar";

@@ -13,12 +13,20 @@
 // round_to_tf32_span is the vectorized form of round_to_tf32: the same
 // integer round-to-nearest-even on the low 13 mantissa bits, applied a
 // vector register at a time with non-finite lanes passed through unchanged.
+// The FP16, BF16 and E4M3 narrowing spans are lane-wise transcriptions of
+// the scalar integer encoders (fp16_t::encode, bf16_t::encode,
+// fp8_e4m3_t::encode), compiled for the AVX2 and AVX-512F variants of
+// util/host_isa.hpp and dispatched on the same probe as the host GEMM
+// kernel. They use integer lane operations only, so no floating-point
+// rounding mode or flush-to-zero state can make a lane differ from the
+// scalar encoder; the baseline and KAMI_NO_SIMD builds run the scalar loop.
 #pragma once
 
 #include <array>
 #include <cstddef>
 
 #include "types/numeric_traits.hpp"
+#include "util/host_isa.hpp"
 
 namespace kami::types {
 
@@ -61,12 +69,37 @@ inline void decode_span<fp8_e4m3_t>(const fp8_e4m3_t* src, float* dst,
 }
 
 /// Bulk accumulator -> storage narrowing (the writeback phase). Generic form
-/// defers to the scalar from_acc; TF32 narrows through the vectorized
-/// rounding kernel in chunks.
+/// defers to the scalar from_acc; FP16/BF16/E4M3 run the narrowing span of
+/// the host_isa() variant, and TF32 narrows through the vectorized rounding
+/// kernel in chunks.
 template <Scalar T>
 inline void encode_span(const typename num_traits<T>::acc_t* src, T* dst,
                         std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = num_traits<T>::from_acc(src[i]);
+}
+
+/// The FP16/BF16/E4M3 narrowing span compiled for one variant; `isa` must
+/// not exceed host_isa(). HostIsa::Baseline is the scalar encoder loop.
+/// Each element's bits equal the scalar encoder's. encode_span runs the
+/// host_isa() variant; tests call each variant directly.
+void encode_span_variant(HostIsa isa, const float* src, fp16_t* dst, std::size_t n) noexcept;
+void encode_span_variant(HostIsa isa, const float* src, bf16_t* dst, std::size_t n) noexcept;
+void encode_span_variant(HostIsa isa, const float* src, fp8_e4m3_t* dst,
+                         std::size_t n) noexcept;
+
+template <>
+inline void encode_span<fp16_t>(const float* src, fp16_t* dst, std::size_t n) {
+  encode_span_variant(host_isa(), src, dst, n);
+}
+
+template <>
+inline void encode_span<bf16_t>(const float* src, bf16_t* dst, std::size_t n) {
+  encode_span_variant(host_isa(), src, dst, n);
+}
+
+template <>
+inline void encode_span<fp8_e4m3_t>(const float* src, fp8_e4m3_t* dst, std::size_t n) {
+  encode_span_variant(host_isa(), src, dst, n);
 }
 
 template <>

@@ -1,16 +1,17 @@
 // The one host GEMM kernel (core/vector_kernels.hpp) against its oracles:
 //   * numeric_gemm equals baselines::reference_gemm bit for bit on seeded
 //     ragged shapes in all six precisions, and for FP32/FP64 at 384^3;
-//   * the baseline and AVX2 variants equal each other and the scalar chain
-//     on strided operands, with every row remainder modulo MR and every
-//     column remainder modulo 2W of the widest variant;
+//   * the baseline, AVX2 and AVX-512F variants equal each other and the
+//     scalar chain on strided operands, with every row remainder modulo MR
+//     and every column remainder modulo 2W of the widest variant;
 //   * KAMI-3D's layered association (layers = 2, 3, 4) equals a scalar
 //     replica of that association;
 //   * FP32/FP64 compute in place, with no arena allocation, and C may not
 //     overlap A or B;
 //   * no multiply-add is fused anywhere the host computes C.
 // The no-simd CI job runs this suite too, where the baseline variant is the
-// scalar loop and no AVX2 variant is compiled.
+// scalar loop and no x86 variant is compiled. A variant this CPU cannot run
+// is skipped; the host_kernel_no_fma ctest still checks its instructions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,9 +33,11 @@ namespace {
 
 /// Row remainders the kernel distinguishes (its MR-row blocks), and column
 /// remainders: two vectors of the widest variant's FP32 lanes, which also
-/// covers every narrower vector width.
+/// covers every narrower vector width and the half-vector column step.
 constexpr std::size_t kRowPeriod = detail::kHostKernelRows;
-constexpr std::size_t kColumnPeriod = 2 * detail::kAvx2VectorBytes / sizeof(float);
+constexpr std::size_t kColumnPeriod = 2 * detail::kAvx512VectorBytes / sizeof(float);
+/// Largest m, n and k of a ragged shape.
+constexpr std::size_t kMaxExtent = 70;
 
 template <Scalar T>
 bool bits_equal(const Matrix<T>& a, const Matrix<T>& b) {
@@ -49,10 +52,10 @@ std::string label(const Shape& s) {
   return std::to_string(s.m) + "x" + std::to_string(s.n) + "x" + std::to_string(s.k);
 }
 
-/// Seeded ragged shapes with m, n, k in [1, 70]. The first kColumnPeriod
-/// shapes pin n to every remainder modulo kColumnPeriod and m to every
-/// remainder modulo kRowPeriod, and put k at both edges of a k-tile; the
-/// rest are drawn freely.
+/// Seeded ragged shapes with m, n, k in [1, kMaxExtent]. The first
+/// kColumnPeriod shapes pin n to every remainder modulo kColumnPeriod and m
+/// to every remainder modulo kRowPeriod, and put k at both edges of a
+/// k-tile; the rest are drawn freely.
 std::vector<Shape> ragged_shapes(std::uint64_t seed, std::size_t count) {
   Rng rng(seed);
   const auto draw = [&](std::size_t hi) {
@@ -60,10 +63,10 @@ std::vector<Shape> ragged_shapes(std::uint64_t seed, std::size_t count) {
   };
   std::vector<Shape> shapes;
   for (std::size_t t = 0; t < count; ++t) {
-    Shape s{draw(70), draw(70), draw(70)};
+    Shape s{draw(kMaxExtent), draw(kMaxExtent), draw(kMaxExtent)};
     if (t < kColumnPeriod) {
-      s.n = kColumnPeriod * draw(3) + t;
-      s.m = kRowPeriod * draw(16) + t % kRowPeriod;
+      s.n = kColumnPeriod * draw(kMaxExtent / kColumnPeriod - 1) + t;
+      s.m = kRowPeriod * draw(kMaxExtent / kRowPeriod - 1) + t % kRowPeriod;
       if (t < 3) s.k = kNumericKTile - 1 + t;
     }
     shapes.push_back(s);
@@ -74,7 +77,8 @@ std::vector<Shape> ragged_shapes(std::uint64_t seed, std::size_t count) {
 TEST(HostKernel, RaggedShapesCoverEveryRemainder) {
   std::set<std::size_t> rows, cols;
   for (const Shape& s : ragged_shapes(1, 40)) {
-    EXPECT_TRUE(s.m >= 1 && s.m <= 70 && s.n >= 1 && s.n <= 70 && s.k >= 1 && s.k <= 70)
+    EXPECT_TRUE(s.m >= 1 && s.m <= kMaxExtent && s.n >= 1 && s.n <= kMaxExtent && s.k >= 1 &&
+                s.k <= kMaxExtent)
         << label(s);
     rows.insert(s.m % kRowPeriod);
     cols.insert(s.n % kColumnPeriod);
@@ -173,28 +177,39 @@ TEST(HostKernel, BaselineVariantMatchesScalarChain) {
   expect_baseline_matches_scalar_chain<double>(22);
 }
 
-#ifdef KAMI_HOST_KERNEL_AVX2
-template <typename Acc>
-void expect_avx2_matches_baseline(std::uint64_t seed) {
+#ifdef KAMI_HOST_X86_VARIANTS
+template <typename Acc, typename Kernel>
+void expect_variant_matches_baseline(Kernel variant, std::uint64_t seed) {
   Rng rng(seed);
   for (const Shape& s : ragged_shapes(seed, 60)) {
     const StridedCase<Acc> tc(s, rng);
-    const auto avx2 = tc.run(detail::gemm_kernel_avx2<Acc>);
-    EXPECT_TRUE(same_bits(avx2, tc.run(detail::gemm_kernel_baseline<Acc>)))
+    const auto out = tc.run(variant);
+    EXPECT_TRUE(same_bits(out, tc.run(detail::gemm_kernel_baseline<Acc>)))
         << sizeof(Acc) * 8 << "-bit " << label(s);
-    EXPECT_TRUE(same_bits(avx2, tc.expected())) << sizeof(Acc) * 8 << "-bit " << label(s);
+    EXPECT_TRUE(same_bits(out, tc.expected())) << sizeof(Acc) * 8 << "-bit " << label(s);
   }
 }
 #endif
 
 TEST(HostKernel, Avx2VariantMatchesBaseline) {
-#ifdef KAMI_HOST_KERNEL_AVX2
-  if (!detail::cpu_has_avx2())
+#ifdef KAMI_HOST_X86_VARIANTS
+  if (host_isa() < HostIsa::Avx2)
     GTEST_SKIP() << "this CPU lacks AVX2: the AVX2 variant was not compared";
-  expect_avx2_matches_baseline<float>(31);
-  expect_avx2_matches_baseline<double>(32);
+  expect_variant_matches_baseline<float>(detail::gemm_kernel_avx2<float>, 31);
+  expect_variant_matches_baseline<double>(detail::gemm_kernel_avx2<double>, 32);
 #else
   GTEST_SKIP() << "this build compiles no AVX2 variant (" << numeric_simd_name() << ")";
+#endif
+}
+
+TEST(HostKernel, Avx512VariantMatchesBaseline) {
+#ifdef KAMI_HOST_X86_VARIANTS
+  if (host_isa() < HostIsa::Avx512f)
+    GTEST_SKIP() << "this CPU lacks AVX-512F: the AVX-512F variant was not compared";
+  expect_variant_matches_baseline<float>(detail::gemm_kernel_avx512<float>, 33);
+  expect_variant_matches_baseline<double>(detail::gemm_kernel_avx512<double>, 34);
+#else
+  GTEST_SKIP() << "this build compiles no AVX-512F variant (" << numeric_simd_name() << ")";
 #endif
 }
 
@@ -278,9 +293,11 @@ TEST(HostKernel, NoFusedMultiplyAdd) {
   const float a2 = 1.0f + std::ldexp(1.0f, -12), b2 = a2;
   ASSERT_EQ(std::fma(a2, b2, a1 * b1), std::ldexp(1.0f, -24)) << "the case must tell";
 
-  // 5 x 29 runs every kernel path: an MR-row block and its row tail, and
-  // two-vector, one-vector and scalar column blocks in each variant.
-  const std::size_t m = 5, n = 29;
+  // 5 x 63 runs every kernel path: an MR-row block and its row tail, and
+  // two-vector, one-vector, half-vector (AVX2, AVX-512F) and scalar column
+  // blocks in each variant (63 = 32 + 16 + 8 + 7 FP32 lanes in AVX-512F,
+  // 48 + 8 + 4 + 3 in AVX2, 56 + 4 + 3 in the baseline).
+  const std::size_t m = 5, n = 63;
   Matrix<float> A(m, 2), B(2, n);
   for (std::size_t i = 0; i < m; ++i) {
     A(i, 0) = a1;
@@ -300,9 +317,12 @@ TEST(HostKernel, NoFusedMultiplyAdd) {
     return C;
   };
   EXPECT_TRUE(bits_equal(variant(detail::gemm_kernel_baseline<float>), zero));
-#ifdef KAMI_HOST_KERNEL_AVX2
-  if (detail::cpu_has_avx2()) {
+#ifdef KAMI_HOST_X86_VARIANTS
+  if (host_isa() >= HostIsa::Avx2) {
     EXPECT_TRUE(bits_equal(variant(detail::gemm_kernel_avx2<float>), zero));
+  }
+  if (host_isa() >= HostIsa::Avx512f) {
+    EXPECT_TRUE(bits_equal(variant(detail::gemm_kernel_avx512<float>), zero));
   }
 #endif
 

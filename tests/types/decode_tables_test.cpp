@@ -8,9 +8,12 @@
 // enumerate completely (2^16 for fp16/bf16, 2^8 for E4M3), so we do. The
 // fast fp16 and E4M3 encoders take float inputs (2^32 patterns), so they get
 // directed coverage plus a random sample; the full 2^32 sweep runs outside
-// the suite (DESIGN.md §12).
+// the suite (DESIGN.md §12). The vectorized FP16/BF16/E4M3 narrowing spans
+// are held to the scalar encoders the same way, in every variant this CPU
+// runs (NarrowingSpans).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -315,6 +318,178 @@ TEST(SpanConversions, MatchElementwiseForEveryStorageType) {
     check_spans<tf32_t>(n, 14);
     check_spans<float>(n, 15);
     check_spans<double>(n, 16);
+  }
+}
+
+// The FP16/BF16/E4M3 narrowing spans, in every variant this CPU runs,
+// against the scalar encoder of each element, bit for bit.
+
+struct Fp16Span {
+  using T = fp16_t;
+  static constexpr const char* kName = "fp16";
+  static std::uint32_t scalar(float v) { return fp16_t::encode(v); }
+};
+
+struct Bf16Span {
+  using T = bf16_t;
+  static constexpr const char* kName = "bf16";
+  static std::uint32_t scalar(float v) { return bf16_t::encode(v); }
+};
+
+struct Fp8Span {
+  using T = fp8_e4m3_t;
+  static constexpr const char* kName = "e4m3";
+  static std::uint32_t scalar(float v) { return fp8_e4m3_t::encode(v); }
+};
+
+/// The variants this build compiles and this CPU runs, narrowest first.
+std::vector<HostIsa> runnable_variants() {
+  std::vector<HostIsa> out;
+  for (const HostIsa isa : {HostIsa::Baseline, HostIsa::Avx2, HostIsa::Avx512f})
+    if (isa <= host_isa()) out.push_back(isa);
+  return out;
+}
+
+const char* variant_name(HostIsa isa) {
+  return isa == HostIsa::Avx512f ? "avx512f" : isa == HostIsa::Avx2 ? "avx2" : "baseline";
+}
+
+/// Narrows src through one variant's span and compares each element with the
+/// scalar encoder; counts mismatches instead of reporting each one.
+template <typename F>
+std::size_t span_mismatches(HostIsa isa, const std::vector<float>& src, std::size_t n) {
+  std::vector<typename F::T> dst(n);
+  encode_span_variant(isa, src.data(), dst.data(), n);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dst[i].bits() == F::scalar(src[i])) continue;
+    if (++bad <= 3)
+      ADD_FAILURE() << F::kName << " " << variant_name(isa) << ": element " << i
+                    << " of " << n << ", float bit pattern 0x" << std::hex
+                    << float_bits(src[i]) << std::dec;
+  }
+  return bad;
+}
+
+/// `v`, its float neighbours, and the three negated.
+void push_around(std::vector<float>& out, float v) {
+  for (const float x : {v, std::nextafter(v, 0.0f),
+                        std::nextafter(v, std::numeric_limits<float>::infinity())}) {
+    out.push_back(x);
+    out.push_back(-x);
+  }
+}
+
+/// Directed inputs for all three formats: signed zeros, float subnormals,
+/// the subnormal carries into 2^-14 (FP16) and 2^-6 (E4M3), every rounding
+/// tie between consecutive FP16 and E4M3 values, the FP16 overflow edges,
+/// E4M3 saturation, BF16's round-to-infinity, infinities and NaNs of both
+/// signs with several payloads.
+std::vector<float> directed_inputs() {
+  std::vector<float> v;
+  for (const std::uint32_t bits :
+       {0x00000000u, 0x80000000u, 0x00000001u, 0x80000001u, 0x00000002u, 0x00400000u,
+        0x807FFFFFu, 0x007FFFFFu, 0x7F800000u, 0xFF800000u, 0x7F800001u, 0xFF800001u,
+        0x7FC00000u, 0xFFC00000u, 0x7FBFFFFFu, 0xFFFFFFFFu, 0x7FFFFFFFu, 0xFFC00001u,
+        0x7FA00000u, 0xFF812345u, 0x7F7FFFFFu, 0xFF7FFFFFu, 0x7F7F8000u, 0x7F7F7FFFu,
+        0x00800000u, 0x80800000u})
+    v.push_back(std::bit_cast<float>(bits));
+  // The subnormal carry: the tie between the largest subnormal and the
+  // smallest normal of each format, and its neighbours.
+  push_around(v, std::ldexp(2047.0f, -25));  // FP16: (1023.5) * 2^-24
+  push_around(v, std::ldexp(1.0f, -14));
+  push_around(v, std::ldexp(15.0f, -10));    // E4M3: 7.5 * 2^-9
+  push_around(v, std::ldexp(1.0f, -6));
+  // Underflow ties and the smallest subnormals.
+  push_around(v, std::ldexp(1.0f, -25));
+  push_around(v, std::ldexp(1.0f, -24));
+  push_around(v, std::ldexp(1.0f, -10));
+  push_around(v, std::ldexp(1.0f, -9));
+  // FP16 overflow: the max finite, the tie to infinity, the first float
+  // that always overflows; E4M3 saturation at 448 and its tie 464.
+  for (const float x : {65504.0f, 65520.0f, 65536.0f, 448.0f, 464.0f, 480.0f}) push_around(v, x);
+  // Every tie between consecutive finite values, and the values themselves.
+  const auto& fp16 = fp16_decode_table();
+  for (std::size_t b = 0; b + 1 < (1u << 15); ++b) {
+    const float lo = fp16[b], hi = fp16[b + 1];
+    if (!std::isfinite(hi)) break;
+    push_around(v, lo + (hi - lo) / 2.0f);
+    v.push_back(lo);
+  }
+  const auto& e4m3 = fp8_e4m3_decode_table();
+  for (std::size_t b = 0; b + 1 < (1u << 7); ++b) {
+    const float lo = e4m3[b], hi = e4m3[b + 1];
+    if (std::isnan(hi)) break;
+    push_around(v, lo + (hi - lo) / 2.0f);
+    v.push_back(lo);
+  }
+  // BF16 ties: a float halfway between two bf16 values, even and odd.
+  for (const std::uint32_t bits : {0x3F808000u, 0x3F818000u, 0x00008000u, 0x00018000u,
+                                   0x7F7F8000u, 0x7F7E8000u})
+    push_around(v, std::bit_cast<float>(bits));
+  return v;
+}
+
+template <typename F>
+void expect_directed_inputs_match(const std::vector<float>& inputs) {
+  for (const HostIsa isa : runnable_variants()) {
+    // Every offset of the inputs within a vector: each value meets every lane
+    // position, and at the end of the span the scalar tail.
+    for (std::size_t shift = 0; shift < 16; ++shift) {
+      std::vector<float> src(shift, 1.0f);
+      src.insert(src.end(), inputs.begin(), inputs.end());
+      EXPECT_EQ(span_mismatches<F>(isa, src, src.size()), 0u)
+          << F::kName << " " << variant_name(isa) << " shift " << shift;
+    }
+  }
+}
+
+TEST(NarrowingSpans, DirectedInputsMatchScalarEncoders) {
+  const auto inputs = directed_inputs();
+  expect_directed_inputs_match<Fp16Span>(inputs);
+  expect_directed_inputs_match<Bf16Span>(inputs);
+  expect_directed_inputs_match<Fp8Span>(inputs);
+}
+
+// 2^24 seeded random float bit patterns per format (NaNs, infinities and
+// subnormals land in the sample), in spans whose lengths cover every
+// remainder modulo 16, the widest variant's FP32 lanes.
+template <typename F>
+void expect_random_bit_patterns_match(std::uint64_t seed) {
+  constexpr std::size_t kTotal = std::size_t{1} << 24, kChunk = std::size_t{1} << 14;
+  for (const HostIsa isa : runnable_variants()) {
+    Rng rng(seed);
+    std::vector<float> src(kChunk);
+    std::size_t done = 0, bad = 0;
+    for (std::size_t round = 0; done < kTotal; ++round) {
+      const std::size_t n = std::min(kChunk - round % 16, kTotal - done);
+      for (std::size_t i = 0; i < n; ++i)
+        src[i] = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next()));
+      bad += span_mismatches<F>(isa, src, n);
+      done += n;
+    }
+    EXPECT_EQ(bad, 0u) << F::kName << " " << variant_name(isa);
+  }
+}
+
+TEST(NarrowingSpans, RandomBitPatternsMatchScalarEncoders) {
+  expect_random_bit_patterns_match<Fp16Span>(101);
+  expect_random_bit_patterns_match<Bf16Span>(102);
+  expect_random_bit_patterns_match<Fp8Span>(103);
+}
+
+// Short spans: every length 0..48, so each variant runs spans that are all
+// tail, one vector plus a tail, and several vectors.
+TEST(NarrowingSpans, EveryShortLengthMatches) {
+  Rng rng(104);
+  for (std::size_t n = 0; n <= 48; ++n) {
+    std::vector<float> src(n);
+    for (float& x : src) x = static_cast<float>(rng.uniform(-70000.0, 70000.0));
+    for (const HostIsa isa : runnable_variants()) {
+      EXPECT_EQ(span_mismatches<Fp16Span>(isa, src, n), 0u) << n;
+      EXPECT_EQ(span_mismatches<Bf16Span>(isa, src, n), 0u) << n;
+      EXPECT_EQ(span_mismatches<Fp8Span>(isa, src, n), 0u) << n;
+    }
   }
 }
 
