@@ -1,18 +1,22 @@
-// Execution-trace example: record the op-level timeline AND the phase
-// spans of one KAMI-1D block, then emit:
-//   * an enriched Chrome/Perfetto trace (op events per warp + named phase
-//     tracks) — the simulator's equivalent of an Nsight timeline;
+// Execution-trace example: record the phase spans of one KAMI-1D block, then
+// emit:
+//   * a Chrome/Perfetto trace of the kernel span and its phase spans — the
+//     simulator's equivalent of an Nsight timeline;
 //   * the kernel -> phase span trace, one line per phase occurrence;
-//   * warp-cycles per op kind attributed to the innermost phase.
+//   * cycles per phase kind, summed over the kernel's phase occurrences;
+//   * per-warp cycles per resource (the Fig 15 breakdown).
 //
 //   $ ./trace_timeline          # writes kami_1d_64.trace.json
 //   # open https://ui.perfetto.dev (or chrome://tracing) and load the file
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/kami.hpp"
-#include "obs/trace_analysis.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -25,43 +29,53 @@ int main() {
   GemmOptions opt;
   opt.warps = 4;
   opt.smem_ratio = 0.0;
-  opt.record_trace = true;
   opt.record_regions = true;
   const auto r = gemm(Algo::OneD, dev, A, B, opt);
+  const obs::RequestTrace& phases = *r.regions;
 
   const char* path = "kami_1d_64.trace.json";
   {
     std::ofstream out(path);
-    obs::dump_chrome_trace_with_regions(out, *r.trace, r.regions.get(),
-                                        "kami_1d 64x64 fp16");
+    obs::dump_chrome_traces(out, {phases});
   }
 
-  // Per-kind summary.
-  std::map<sim::OpKind, std::pair<int, double>> agg;  // kind -> (count, cycles)
-  for (const auto& ev : r.trace->events()) {
-    agg[ev.kind].first += 1;
-    agg[ev.kind].second += ev.end - ev.start;
-  }
-  TablePrinter t({"op kind", "events", "warp-cycles", "amount (B or flops)"});
-  for (const auto& [kind, stats] : agg) {
-    t.add_row({sim::op_kind_name(kind), std::to_string(stats.first),
-               fmt_double(stats.second, 0), fmt_double(r.trace->total_amount(kind), 0)});
-  }
-  t.print(std::cout, "KAMI-1D 64x64 FP16 on GH200: op-level timeline summary");
+  std::cout << "Phase spans (simulated cycles):\n" << phases.canonical_text();
 
-  std::cout << "\nPhase spans (simulated cycles):\n" << r.regions->canonical_text();
-
-  // kernel -> phase -> op-kind: warp-cycles per op attributed to the
-  // innermost phase span whose interval contains the op's issue time.
-  TablePrinter po({"phase", "op kind", "warp-cycles"});
-  for (const auto& rb : obs::region_op_breakdown(*r.trace, *r.regions))
-    for (const auto& [kind, cycles] : rb.op_cycles)
-      po.add_row({rb.path, kind, fmt_double(cycles, 0)});
+  // Phase kinds in first-occurrence order. The root's children tile
+  // [0, latency], so the kinds' cycles sum to the block latency.
+  struct Kind {
+    std::string name;
+    int occurrences = 0;
+    double cycles = 0.0;
+  };
+  std::vector<Kind> kinds;
+  for (const std::uint32_t id : phases.children_of(0)) {
+    const obs::Span& s = phases.spans[id];
+    auto it = std::find_if(kinds.begin(), kinds.end(),
+                           [&](const Kind& k) { return k.name == s.name; });
+    if (it == kinds.end()) it = kinds.insert(kinds.end(), Kind{s.name});
+    it->occurrences += 1;
+    it->cycles += s.duration_cycles();
+  }
+  TablePrinter pk({"phase", "occurrences", "cycles", "% of latency"});
+  for (const Kind& k : kinds)
+    pk.add_row({k.name, std::to_string(k.occurrences), fmt_double(k.cycles, 0),
+                fmt_double(100.0 * k.cycles / r.profile.latency, 1)});
   std::cout << "\n";
-  po.print(std::cout, "Warp-cycles per phase and op kind");
+  pk.print(std::cout, "Cycles per phase kind");
 
-  std::cout << "\nblock latency: " << fmt_double(r.profile.latency, 0)
-            << " cycles across " << r.trace->size() << " events\n"
+  const sim::CycleBreakdown& bd = r.profile.mean_breakdown;
+  TablePrinter pr({"resource", "cycles per warp"});
+  for (const auto& [name, cycles] :
+       {std::pair{"smem", bd.smem_comm}, std::pair{"gmem", bd.gmem},
+        std::pair{"reg copy", bd.reg_copy}, std::pair{"compute", bd.compute},
+        std::pair{"sync wait", bd.sync_wait}, std::pair{"total", bd.total()}})
+    pr.add_row({name, fmt_double(cycles, 0)});
+  std::cout << "\n";
+  pr.print(std::cout, "Cycles per resource (mean over warps, Fig 15)");
+
+  std::cout << "\nblock latency: " << fmt_double(r.profile.latency, 0) << " cycles across "
+            << phases.spans.size() - 1 << " phase spans\n"
             << "Chrome trace written to " << path
             << " (open https://ui.perfetto.dev and load it)\n";
   return 0;

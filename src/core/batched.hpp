@@ -101,9 +101,8 @@ BatchShape batch_shape(const sim::DeviceSpec& dev, Algo algo, std::size_t m,
 /// runs every entry's values through the numeric kernel. C, seconds and
 /// tflops are bit-identical to a per-entry Full loop; TimingOnly returns
 /// zero-filled C with the same seconds and tflops. NumericsOnly has no
-/// profile to time and is refused. The result holds no per-entry trace or
-/// phases, so GemmOptions::record_trace and record_regions do not change
-/// what runs.
+/// profile to time and is refused. The result holds no per-entry phases,
+/// so GemmOptions::record_regions does not change what runs.
 template <Scalar T>
 BatchedResult<T> kami_batched_gemm(const sim::DeviceSpec& dev,
                                    std::span<const Matrix<T>> As,

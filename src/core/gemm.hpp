@@ -42,12 +42,9 @@ struct GemmOptions {
   /// for the profile, then the host kernel (core::numeric_gemm) for C.
   /// TimingOnly: the simulation alone, C zero-filled. NumericsOnly: the host
   /// kernel alone, profile zero. Full's profile and C equal those of the
-  /// element data plane (verify::data_plane_gemm) bit for bit. Trace/region
-  /// recording require a timed mode.
+  /// element data plane (verify::data_plane_gemm) bit for bit. Region
+  /// recording requires a timed mode.
   sim::ExecMode mode = sim::ExecMode::Full;
-
-  /// Record an op-level timeline (sim/trace.hpp) into GemmResult::trace.
-  bool record_trace = false;
 
   /// Record the kernel's phases as spans on the simulated clock
   /// (core/phase_scope.hpp) into GemmResult::regions.
@@ -69,7 +66,6 @@ struct GemmResult {
   sim::KernelProfile profile;
   int warps = 0;           ///< the p actually used
   double smem_ratio = 0.0; ///< the spill ratio actually used
-  std::shared_ptr<sim::Trace> trace;  ///< set when GemmOptions::record_trace
   /// Phase trace: a root span for the kernel with one child span per phase
   /// occurrence; set when GemmOptions::record_regions.
   std::shared_ptr<const obs::RequestTrace> regions;

@@ -68,7 +68,7 @@ inline const char* phase_root(Algo algo) {
 /// operands the block is TimingOnly: it times the schedule from the shape
 /// alone and the result's C is empty. With A and B (verify::data_plane_gemm)
 /// it is the element data plane, which moves their elements and narrows C
-/// out. Profile, trace and phases are the same either way. This is the one
+/// out. Profile and phases are the same either way. This is the one
 /// place that decides whether a run moves data; the kernels only forward
 /// the nullable A, B and C.
 template <Scalar T>
@@ -84,7 +84,6 @@ GemmResult<T> simulate(const sim::DeviceSpec& dev, const Plan& plan, std::size_t
   sim::ThreadBlock blk(dev, plan.p,
                        moves_data ? sim::ExecMode::Full : sim::ExecMode::TimingOnly);
   blk.set_deadline(opt.deadline_cycles);
-  if (opt.record_trace) blk.enable_trace();
 
   // Optional phase trace on the block's simulated clock (core/phase_scope.hpp).
   std::optional<obs::TraceBuilder> phases;
@@ -92,7 +91,7 @@ GemmResult<T> simulate(const sim::DeviceSpec& dev, const Plan& plan, std::size_t
   obs::TraceBuilder* const ph = phases ? &*phases : nullptr;
 
   GemmResult<T> out{moves_data ? Matrix<T>(m, n) : Matrix<T>(), {}, plan.p,
-                    plan.smem_ratio, nullptr, nullptr};
+                    plan.smem_ratio, nullptr};
   Matrix<T>* const C = moves_data ? &out.C : nullptr;
   switch (plan.algo) {
     case Algo::OneD: simulate_1d(blk, ph, plan, m, n, k, opt, A, B, C); break;
@@ -100,7 +99,6 @@ GemmResult<T> simulate(const sim::DeviceSpec& dev, const Plan& plan, std::size_t
     case Algo::ThreeD: simulate_3d(blk, ph, plan, m, n, k, opt, A, B, C); break;
   }
   out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
-  if (opt.record_trace) out.trace = blk.take_trace();
   out.regions = finish_phases(ph, blk);
   return out;
 }
@@ -118,7 +116,7 @@ GemmResult<T> gemm(Algo algo, const sim::DeviceSpec& dev, const Matrix<T>& A,
   const std::size_t m = A.rows(), k = A.cols(), n = B.cols();
   KAMI_REQUIRE(B.rows() == k, "inner dimensions must agree");
   const core::Plan plan = core::plan_gemm(algo, dev, num_traits<T>::precision, m, n, k, opt);
-  GemmResult<T> out{{}, {}, plan.p, plan.smem_ratio, nullptr, nullptr};
+  GemmResult<T> out{{}, {}, plan.p, plan.smem_ratio, nullptr};
   if (opt.mode != sim::ExecMode::NumericsOnly)
     out = core::detail::simulate<T>(dev, plan, m, n, k, opt);
   out.C = opt.mode == sim::ExecMode::TimingOnly

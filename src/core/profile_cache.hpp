@@ -33,9 +33,9 @@
 namespace kami::core {
 
 /// Everything that can change a kernel's cycle profile. Options fields that
-/// only affect reporting (record_trace/record_regions/mode) are excluded, as
-/// is deadline_cycles: a run that finishes under its deadline produces
-/// exactly the profile an unbounded run would, and a run that does not never
+/// only affect reporting (record_regions/mode) are excluded, as is
+/// deadline_cycles: a run that finishes under its deadline produces exactly
+/// the profile an unbounded run would, and a run that does not never
 /// reaches insert() below. Tuning fields are stored planner-resolved (see
 /// ProfileKey::make).
 struct ProfileKey {
@@ -139,7 +139,6 @@ template <Scalar T>
 CachedProfile timing_profile(ProfileCache& cache, Algo algo, const sim::DeviceSpec& dev,
                              std::size_t m, std::size_t n, std::size_t k,
                              GemmOptions opt = {}) {
-  opt.record_trace = false;
   opt.record_regions = false;
   // Resolve the plan first: the canonical key dedups requests that map to the
   // same configuration, and infeasible requests throw here — before the cache

@@ -85,8 +85,7 @@ class RequestTrace {
 };
 
 /// Chrome trace-event JSON for a set of traces: one tid per trace (named by
-/// request id), spans as "X" events under the 1 cycle = 1 us mapping the
-/// simulator's op traces also use.
+/// request id), spans as "X" events at 1 simulated cycle = 1 us.
 void dump_chrome_traces(std::ostream& os, const std::vector<RequestTrace>& traces);
 
 /// Write side of a RequestTrace: an open-span stack plus the logical cycle

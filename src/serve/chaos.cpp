@@ -159,7 +159,6 @@ ChaosOutcome run_scenario(const ChaosPoint& p,
 
   core::GemmOptions opt = p.base.options;
   opt.mode = p.mode;
-  opt.record_trace = false;
   opt.record_regions = false;
   opt.deadline_cycles = p.deadline_cycles;
 

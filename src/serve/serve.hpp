@@ -80,15 +80,13 @@ struct ServeConfig {
   int breaker_failure_threshold = 3;    ///< consecutive failures that trip a rung
   int breaker_cooldown_requests = 8;    ///< open requests before a half-open probe
 
-  /// Build a span trace per request. Traces are only materialized when a
-  /// flight recorder is attached, so the default configuration pays nothing.
-  bool tracing = true;
   /// Request ids are "<prefix>-<n>" with n counting from 1 per server; the
   /// chaos campaign stamps a per-seed prefix so ids stay unique (and
   /// deterministic) across its per-point servers.
   std::string request_id_prefix = "req";
   /// Destination for finished request traces (shared so dashboards and the
-  /// server can outlive each other); nullptr disables tracing entirely.
+  /// server can outlive each other). A span trace is built per request only
+  /// when a recorder is attached, so the default (nullptr) pays nothing.
   std::shared_ptr<obs::FlightRecorder> flight;
   /// Per-shape-class SLO accounting; works with or without tracing.
   std::shared_ptr<SloTracker> slo;
@@ -222,7 +220,7 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
   // serve.end_to_end_cycles histogram and the SLO tracker read it.
   double clock = 0.0;
   std::optional<obs::TraceBuilder> trace;
-  if (cfg_.tracing && cfg_.flight) {
+  if (cfg_.flight) {
     trace.emplace(next_request_id());
     trace->set_meta("algo", algo_name(algo));
     trace->set_meta("device", dev.name);

@@ -16,7 +16,6 @@
 #include "sim/exec_mode.hpp"
 #include "sim/resources.hpp"
 #include "sim/shared_memory.hpp"
-#include "sim/trace.hpp"
 #include "sim/warp.hpp"
 #include "verify/invariants.hpp"
 
@@ -104,23 +103,6 @@ class ThreadBlock {
   Cycles gmem_busy_cycles() const noexcept { return gmem_port_.busy_cycles(); }
   Cycles vector_busy_cycles() const noexcept { return vector_pipe_.busy_cycles(); }
 
-  /// Start recording an op-level timeline for all warps; returns the trace.
-  /// Idempotent while a trace is attached; after take_trace() it starts a
-  /// fresh recorder and re-attaches every warp, so enable -> run -> take can
-  /// be repeated on the same block.
-  Trace& enable_trace() {
-    if (!trace_) trace_ = std::make_unique<Trace>();
-    for (auto& w : warps_) w->set_trace(trace_.get());
-    return *trace_;
-  }
-  const Trace* trace() const noexcept { return trace_.get(); }
-
-  /// Detach the recorded trace (warps stop recording).
-  std::unique_ptr<Trace> take_trace() {
-    for (auto& w : warps_) w->set_trace(nullptr);
-    return std::move(trace_);
-  }
-
   /// Publish every warp's batched counter totals into the metric registry.
   /// Warps also flush on destruction; this exists so code that profiles a
   /// live block (sim/throughput.cpp) sees up-to-date registry counters.
@@ -149,7 +131,6 @@ class ThreadBlock {
   // unique_ptr: Warp is neither copyable nor movable (it owns a RegisterFile
   // referenced by live fragments).
   std::vector<std::unique_ptr<Warp>> warps_;
-  std::unique_ptr<Trace> trace_;
   obs::Counter& syncs_ = obs::MetricRegistry::current().counter("sim.block.syncs");
 };
 

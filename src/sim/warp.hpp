@@ -23,19 +23,19 @@
 // gemm_accumulate — fp32/fp64 operands straight from their fragment rows,
 // narrower types after decoding the rows through the types/decode_tables
 // LUT spans into arena buffers; mma_padded multiplies only the valid window
-// of zero-padded operands; add_inplace uses the element-wise add_span;
-// fragment<->smem/global copies are row-granular memcpys. Each C element is
+// of zero-padded operands; add_inplace_at uses the element-wise add_span;
+// fragment<->smem copies are row-granular memcpys. Each C element is
 // still one ascending-k sequential chain in accumulator precision, narrowed
 // once — so results are bit-identical to the scalar seed loops and to
 // NumericsOnly (differential-tested, in SIMD and KAMI_NO_SIMD builds).
 // Scratch comes from the per-thread core::Arena, marked and rewound per op:
 // steady-state simulation performs zero heap allocations in the data plane.
 //
-// The timing half of every op is untouched: clock advances, port/unit
-// acquires, and trace record() calls are exactly the seed model, so cycle
-// profiles are bit-identical too. Hot-path metric counters are batched in
-// PendingWarpMetrics (plain doubles) and flushed to the atomic registry
-// handles at block-profile/destruction time instead of per op.
+// The timing half of every op is untouched: clock advances and port/unit
+// acquires are exactly the seed model, so cycle profiles are bit-identical
+// too. Hot-path metric counters are batched in PendingWarpMetrics (plain
+// doubles) and flushed to the atomic registry handles at
+// block-profile/destruction time instead of per op.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +53,6 @@
 #include "sim/register_file.hpp"
 #include "sim/resources.hpp"
 #include "sim/shared_memory.hpp"
-#include "sim/trace.hpp"
 #include "types/decode_tables.hpp"
 #include "types/matrix.hpp"
 #include "verify/invariants.hpp"
@@ -192,12 +191,10 @@ class Warp {
     if (numerics_) copy_view_to_smem(dst, src);
     const Cycles occ = smem_->transfer_occupancy(src.bytes(), theta_w) +
                        dev_->smem_transaction_overhead_cycles;
-    const Cycles issue = clock_;
     const Cycles start = smem_->port().acquire(clock_, occ);
     advance(start + occ, bd_.smem_comm);
     pending_.smem_bytes_written += static_cast<double>(src.bytes());
     note_smem_conflict(src.bytes(), theta_w);
-    record(OpKind::SmemStore, issue, start, static_cast<double>(src.bytes()));
   }
 
   /// SMem2Reg: read a shared-memory tile into registers.
@@ -208,12 +205,10 @@ class Warp {
     if (numerics_) smem_->read(src, dst.data(), dst.rows() * dst.cols());
     const Cycles occ = smem_->transfer_occupancy(dst.bytes(), theta_r) +
                        dev_->smem_transaction_overhead_cycles;
-    const Cycles issue = clock_;
     const Cycles start = smem_->port().acquire(clock_, occ);
     advance(start + occ + smem_->latency(), bd_.smem_comm);
     pending_.smem_bytes_read += static_cast<double>(dst.bytes());
     note_smem_conflict(dst.bytes(), theta_r);
-    record(OpKind::SmemLoad, issue, start, static_cast<double>(dst.bytes()));
   }
 
   // -- registers --------------------------------------------------------------
@@ -227,11 +222,9 @@ class Warp {
       // views of the same fragment.
       for (std::size_t r = 0; r < src.rows(); ++r)
         std::memmove(dst.row_data(r), src.row(r), src.cols() * sizeof(T));
-    const Cycles issue = clock_;
     advance(clock_ + 1.0 + static_cast<double>(src.bytes()) / dev_->reg_bytes_per_cycle,
             bd_.reg_copy);
     pending_.reg_bytes_copied += static_cast<double>(src.bytes());
-    record(OpKind::RegCopy, issue, issue, static_cast<double>(src.bytes()));
   }
 
   // -- compute ----------------------------------------------------------------
@@ -264,17 +257,9 @@ class Warp {
     mma_window(C, 0, 0, A, B, rows, cols, depth);
   }
 
-  /// Element-wise accumulate C += P (used by the 3D inter-layer reduction);
-  /// runs on the vector pipe, not the tensor cores.
-  template <Scalar T>
-  void add_inplace(Fragment<T>& C, const FragView<T>& P) {
-    KAMI_REQUIRE(C.rows() == P.rows() && C.cols() == P.cols());
-    if (numerics_) add_rows(C, 0, 0, P);
-    charge_vector_flops(static_cast<double>(C.rows() * C.cols()), num_traits<T>::precision);
-  }
-
-  /// Element-wise accumulate into a window of C: C[r0.., c0..] += P.
-  /// Used by the 3D algorithm's chunked inter-layer reduction.
+  /// Element-wise accumulate into a window of C: C[r0.., c0..] += P, on the
+  /// vector pipe, not the tensor cores. Used by the 3D algorithm's chunked
+  /// inter-layer reduction.
   template <Scalar T>
   void add_inplace_at(Fragment<T>& C, std::size_t r0, std::size_t c0,
                       const FragView<T>& P) {
@@ -296,26 +281,6 @@ class Warp {
   }
 
   // -- global memory ----------------------------------------------------------
-
-  /// GMem2Reg: load a rows x cols window of `src` at (r0, c0).
-  template <Scalar T>
-  void load_global(Fragment<T>& dst, const Matrix<T>& src, std::size_t r0, std::size_t c0) {
-    KAMI_REQUIRE(r0 + dst.rows() <= src.rows() && c0 + dst.cols() <= src.cols());
-    if (numerics_ && dst.cols() > 0)
-      for (std::size_t r = 0; r < dst.rows(); ++r)
-        std::memcpy(dst.row_data(r), &src(r0 + r, c0), dst.cols() * sizeof(T));
-    charge_gmem(dst.bytes(), OpKind::GmemLoad);
-  }
-
-  /// Reg2GMem: store a fragment into a window of `dst`.
-  template <Scalar T>
-  void store_global(Matrix<T>& dst, const FragView<T>& src, std::size_t r0, std::size_t c0) {
-    KAMI_REQUIRE(r0 + src.rows() <= dst.rows() && c0 + src.cols() <= dst.cols());
-    if (numerics_ && src.cols() > 0)
-      for (std::size_t r = 0; r < src.rows(); ++r)
-        std::memcpy(&dst(r0 + r, c0), src.row(r), src.cols() * sizeof(T));
-    charge_gmem(src.bytes(), OpKind::GmemStore);
-  }
 
   /// Store an accumulator fragment narrowed back to the storage precision.
   template <Scalar T>
@@ -340,16 +305,14 @@ class Warp {
       // writeback (per-element from_acc, TF32 via the vectorized rounder).
       for (std::size_t r = 0; r < rows; ++r)
         types::encode_span(src.row_data(sr0 + r) + sc0, &dst(r0 + r, c0), cols);
-    charge_gmem(rows * cols * sizeof(T), OpKind::GmemStore);
+    charge_gmem(rows * cols * sizeof(T), /*store=*/true);
   }
 
   /// Fixed ALU/control overhead on this warp (index matching, accumulator
   /// addressing in sparse kernels); accounted under compute.
   void charge_overhead(Cycles cycles) {
     KAMI_ASSERT(cycles >= 0.0);
-    const Cycles issue = clock_;
     advance(clock_ + cycles, bd_.compute);
-    record(OpKind::Overhead, issue, issue, cycles);
   }
 
   // -- explicit cost charging ---------------------------------------------------
@@ -363,12 +326,12 @@ class Warp {
 
   /// Account global traffic without a data-moving op (used by setup paths
   /// that place data directly). Honors the gmem-charging flag.
-  void charge_global_traffic(std::size_t bytes) { charge_gmem(bytes, OpKind::GmemLoad); }
+  void charge_global_traffic(std::size_t bytes) { charge_gmem(bytes, /*store=*/false); }
 
   /// Account a global store without a destination matrix: exactly what
   /// store_global_narrowed charges, for a timing run that produces no C.
   /// Honors the gmem-charging flag.
-  void charge_global_store(std::size_t bytes) { charge_gmem(bytes, OpKind::GmemStore); }
+  void charge_global_store(std::size_t bytes) { charge_gmem(bytes, /*store=*/true); }
 
   /// Pipelined (cp.async-style) global traffic: occupies the memory port
   /// but hides the access latency behind the software pipeline, as
@@ -407,21 +370,12 @@ class Warp {
 
   void wait_until(Cycles t) {
     if (t > clock_) {
-      const Cycles issue = clock_;
       bd_.sync_wait += t - clock_;
+      pending_.sync_wait_cycles += t - clock_;
       clock_ = t;
-      pending_.sync_wait_cycles += t - issue;
-      record(OpKind::SyncWait, issue, issue, t - issue);
       check_deadline();
     }
   }
-  void reset_clock() noexcept {
-    clock_ = 0.0;
-    bd_ = CycleBreakdown{};
-  }
-
-  /// Attach an event recorder (nullptr disables tracing).
-  void set_trace(Trace* trace) noexcept { trace_ = trace; }
 
  private:
   void advance(Cycles end, Cycles& bucket) {
@@ -441,11 +395,6 @@ class Warp {
     }
   }
 
-  void record(OpKind kind, Cycles issue, Cycles start, double amount) {
-    if (trace_ == nullptr) return;
-    trace_->record(TraceEvent{id_, kind, issue, start, clock_, amount});
-  }
-
   void charge_mma(Precision p, std::size_t fm, std::size_t fn, std::size_t fk) {
     const MmaShape s = dev_->mma_shape(p);
     const auto ceil_div = [](std::size_t a, std::size_t b) { return (a + b - 1) / b; };
@@ -454,12 +403,10 @@ class Warp {
                                               ceil_div(fk, static_cast<std::size_t>(s.k)));
     const double issued_flops = instrs * 2.0 * s.m * s.n * s.k;
     const double ideal = issued_flops / dev_->ops_per_cycle_per_tc(p);
-    const Cycles issue = clock_;
     const Cycles start = tc_->acquire(clock_, ideal);
     advance(start + ideal / dev_->mma_efficiency, bd_.compute);
     pending_.mma_instructions += instrs;
     pending_.mma_flops += issued_flops;
-    record(OpKind::Mma, issue, start, issued_flops);
   }
 
   void charge_vector_flops(double flops, Precision p = Precision::FP32) {
@@ -467,22 +414,18 @@ class Warp {
     const double rate = dev_->vector_flops_per_cycle(p);
     KAMI_REQUIRE(rate > 0.0, "device has no vector pipe for this precision");
     const Cycles occ = flops / rate;
-    const Cycles issue = clock_;
     const Cycles start = vector_pipe_->acquire(clock_, occ);
     advance(start + occ, bd_.compute);
     pending_.vector_flops += flops;
-    record(OpKind::VectorOp, issue, start, flops);
   }
 
-  void charge_gmem(std::size_t bytes, OpKind kind) {
+  void charge_gmem(std::size_t bytes, bool store) {
     if (!gmem_charging_) return;
     const Cycles occ = static_cast<double>(bytes) / dev_->gmem_bytes_per_cycle_per_sm;
-    const Cycles issue = clock_;
     const Cycles start = gmem_port_->acquire(clock_, occ);
     advance(start + occ + dev_->gmem_latency_cycles, bd_.gmem);
-    (kind == OpKind::GmemStore ? pending_.gmem_bytes_stored : pending_.gmem_bytes_loaded) +=
+    (store ? pending_.gmem_bytes_stored : pending_.gmem_bytes_loaded) +=
         static_cast<double>(bytes);
-    record(kind, issue, start, static_cast<double>(bytes));
   }
 
   /// Publish the cost of a conflicted shared-memory transfer: the extra
@@ -556,7 +499,7 @@ class Warp {
     }
   }
 
-  /// Shared numerics for add_inplace/add_inplace_at: C[r0.., c0..] += P,
+  /// Shared numerics for add_inplace_at: C[r0.., c0..] += P,
   /// element-wise in accumulator precision with one narrowing per element —
   /// the same from_acc(to_acc(c) + to_acc(p)) value the seed loop produced.
   /// Identity-codec types (fp32/fp64 accumulate in themselves) skip the
@@ -598,7 +541,6 @@ class Warp {
   CycleBreakdown bd_;
   const bool numerics_;
   bool gmem_charging_ = true;
-  Trace* trace_ = nullptr;
 };
 
 }  // namespace kami::sim

@@ -92,7 +92,6 @@ CheckResult check_impl(const CheckPoint& p) {
 
   core::GemmOptions full = p.options;
   full.mode = sim::ExecMode::Full;
-  full.record_trace = false;
   full.record_regions = false;
   core::GemmOptions timing = full;
   timing.mode = sim::ExecMode::TimingOnly;

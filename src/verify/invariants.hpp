@@ -2,11 +2,11 @@
 //
 // The cycle model's credibility rests on a handful of structural invariants:
 // warp clocks only move forward, resource timelines never charge more busy
-// cycles than they reserve, register files never exceed capacity, and trace
-// events are well-formed and issued in order. KAMI_INVARIANT enforces them in
-// every build type (the default Release build compiles KAMI_ASSERT out, which
-// is exactly when a cycle-accounting bug would go unnoticed); define
-// KAMI_CHECK_INVARIANTS=0 to compile the checks out of the hot paths.
+// cycles than they reserve, and register files never exceed capacity.
+// KAMI_INVARIANT enforces them in every build type (the default Release build
+// compiles KAMI_ASSERT out, which is exactly when a cycle-accounting bug
+// would go unnoticed); define KAMI_CHECK_INVARIANTS=0 to compile the checks
+// out of the hot paths.
 //
 // FaultHooks is the test-only back door: kami_verify and the verify tests
 // inject accounting faults through it to prove the invariant layer actually

@@ -222,6 +222,21 @@ TEST(ExecModes, ChargedGlobalIo) {
 // A front-door Full call runs the data plane's block program
 // ---------------------------------------------------------------------------
 
+/// The sim.* counters and gauges that run() publishes into a fresh registry.
+template <typename Run>
+std::map<std::string, double> sim_metrics(Run&& run) {
+  obs::MetricRegistry reg;
+  {
+    const obs::ScopedMetricShard shard(reg);
+    run();
+  }
+  std::map<std::string, double> out;
+  for (const auto& values : {reg.counter_values(), reg.gauge_values()})
+    for (const auto& [name, v] : values)
+      if (name.starts_with("sim.")) out.emplace(name, v);
+  return out;
+}
+
 /// What `call` throws as an E, or "" when it returns.
 template <typename E, typename Call>
 std::string thrown(Call&& call) {
@@ -245,8 +260,9 @@ long long allocations(Call&& call) {
 }
 
 /// The front door's Full call and the data plane agree on everything the
-/// block produces or raises: phases, op events, the deadline abort below the
-/// latency, and the failing allocation wherever the fault hook is armed.
+/// block produces or raises: phases, sim.* counters and gauges, the deadline
+/// abort below the latency, and the failing allocation wherever the fault
+/// hook is armed.
 template <Scalar T>
 void expect_front_door_parity(Algo algo, std::size_t m, std::size_t n, std::size_t k,
                               GemmOptions opt) {
@@ -264,29 +280,16 @@ void expect_front_door_parity(Algo algo, std::size_t m, std::size_t n, std::size
 
   GemmOptions rec = opt;
   rec.record_regions = true;
-  rec.record_trace = true;
-  const auto full = front(rec);
-  const auto data = data_plane(rec);
+  GemmResult<T> full, data;
+  const auto full_metrics = sim_metrics([&] { full = front(rec); });
+  const auto data_metrics = sim_metrics([&] { data = data_plane(rec); });
   EXPECT_TRUE(bits_equal(full.C, data.C));
   expect_profile_identical(full.profile, data.profile);
   ASSERT_NE(full.regions, nullptr);
   ASSERT_NE(data.regions, nullptr);
   EXPECT_EQ(full.regions->canonical_text(), data.regions->canonical_text());
-  ASSERT_NE(full.trace, nullptr);
-  ASSERT_NE(data.trace, nullptr);
-  const auto& fe = full.trace->events();
-  const auto& de = data.trace->events();
-  ASSERT_EQ(fe.size(), de.size());
-  EXPECT_GT(fe.size(), 0u);
-  for (std::size_t i = 0; i < fe.size(); ++i) {
-    SCOPED_TRACE("event " + std::to_string(i));
-    EXPECT_EQ(fe[i].warp, de[i].warp);
-    EXPECT_EQ(fe[i].kind, de[i].kind);
-    EXPECT_EQ(fe[i].issue, de[i].issue);
-    EXPECT_EQ(fe[i].start, de[i].start);
-    EXPECT_EQ(fe[i].end, de[i].end);
-    EXPECT_EQ(fe[i].amount, de[i].amount);
-  }
+  EXPECT_GT(data_metrics.at("sim.mma.flops"), 0.0);
+  EXPECT_EQ(full_metrics, data_metrics);
 
   GemmOptions deadline = opt;
   deadline.deadline_cycles = data.profile.latency / 2;
@@ -396,21 +399,6 @@ TEST(ExecModes, SyclbenchBaseline) {
 // ---------------------------------------------------------------------------
 // sim.* metrics do not depend on the mode
 // ---------------------------------------------------------------------------
-
-/// The sim.* counters and gauges that run() publishes into a fresh registry.
-template <typename Run>
-std::map<std::string, double> sim_metrics(Run&& run) {
-  obs::MetricRegistry reg;
-  {
-    const obs::ScopedMetricShard shard(reg);
-    run();
-  }
-  std::map<std::string, double> out;
-  for (const auto& values : {reg.counter_values(), reg.gauge_values()})
-    for (const auto& [name, v] : values)
-      if (name.starts_with("sim.")) out.emplace(name, v);
-  return out;
-}
 
 /// The sim.* values a KAMI kernel's data plane publishes at (A, B, opt),
 /// checked equal, bit for bit, to what the front door's Full and TimingOnly
@@ -643,7 +631,7 @@ std::pair<std::vector<Matrix<T>>, std::vector<Matrix<T>>> batch_of(
   return {std::move(As), std::move(Bs)};
 }
 
-// The recording options (which have nowhere to record into) change nothing,
+// The recording option (which has nowhere to record into) changes nothing,
 // and the strided entry point runs the same path on stacked operands.
 TEST(ExecModes, BatchedFastPathMatchesPerEntryFull) {
   const std::array<std::size_t, 3> fp16_shapes[] = {
@@ -666,20 +654,17 @@ TEST(ExecModes, BatchedFastPathMatchesPerEntryFull) {
   EXPECT_TRUE(bits_equal(core::kami_gemm_strided_batched<fp16_t>(sim::gh200(), Astack,
                                                                  Bstack, 3, Algo::OneD, timing),
                          Matrix<fp16_t>(3 * 16, 16)));
-  for (const auto& [trace, regions] : {std::pair{true, false}, std::pair{false, true}}) {
-    GemmOptions rec;
-    rec.record_trace = trace;
-    rec.record_regions = regions;
-    const auto r = core::kami_batched_gemm<fp16_t>(sim::gh200(), As, Bs, Algo::OneD, rec);
-    ASSERT_EQ(r.C.size(), As.size());
-    for (std::size_t i = 0; i < As.size(); ++i)
-      EXPECT_TRUE(bits_equal(r.C[i], batched.C[i])) << "entry " << i;
-    EXPECT_EQ(r.seconds, batched.seconds);
-    EXPECT_EQ(r.tflops, batched.tflops);
-    EXPECT_TRUE(bits_equal(core::kami_gemm_strided_batched<fp16_t>(
-                               sim::gh200(), Astack, Bstack, 3, Algo::OneD, rec),
-                           strided));
-  }
+  GemmOptions rec;
+  rec.record_regions = true;
+  const auto r = core::kami_batched_gemm<fp16_t>(sim::gh200(), As, Bs, Algo::OneD, rec);
+  ASSERT_EQ(r.C.size(), As.size());
+  for (std::size_t i = 0; i < As.size(); ++i)
+    EXPECT_TRUE(bits_equal(r.C[i], batched.C[i])) << "entry " << i;
+  EXPECT_EQ(r.seconds, batched.seconds);
+  EXPECT_EQ(r.tflops, batched.tflops);
+  EXPECT_TRUE(bits_equal(core::kami_gemm_strided_batched<fp16_t>(sim::gh200(), Astack, Bstack,
+                                                                 3, Algo::OneD, rec),
+                         strided));
 }
 
 // best_gemm runs numerics once and grafts the tuned profile back on: the

@@ -113,9 +113,9 @@ TEST(ProfileCache, KeysDistinguishGemmOptions) {
                        rtx));
 
   // Reporting-only options are deliberately NOT part of the key: the same
-  // entry serves Full, TimingOnly and trace-recording callers.
+  // entry serves Full, TimingOnly and phase-recording callers.
   GemmOptions traced = base;
-  traced.record_trace = true;
+  traced.record_regions = true;
   traced.mode = sim::ExecMode::TimingOnly;
   EXPECT_EQ(key(base), key(traced));
 

@@ -1,8 +1,12 @@
 // Cross-module integration: the analytic model against the simulator across
-// a parameter sweep, trace-backed kernel verification, and end-to-end
-// pipelines that exercise public API combinations the way applications do.
+// a parameter sweep, kernel traffic volumes against the formulas, and
+// end-to-end pipelines that exercise public API combinations the way
+// applications do.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
 #include <tuple>
 
 #include "baselines/reference.hpp"
@@ -10,6 +14,7 @@
 #include "core/batched.hpp"
 #include "core/kami.hpp"
 #include "model/cost_model.hpp"
+#include "obs/metrics.hpp"
 #include "sparse/spgemm.hpp"
 #include "sparse/spmm.hpp"
 
@@ -56,50 +61,43 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(32, 64, 96)));
 
 // ---------------------------------------------------------------------------
-// Trace-backed verification of kernel structure
+// Kernel traffic volumes against the paper's formulas
 // ---------------------------------------------------------------------------
 
-TEST(TracedKernels, OneDMovesExactlyTheModelVolume) {
+/// The counters one 64x64x64 FP16 call on 4 warps, with no spill, publishes
+/// into a private registry.
+std::map<std::string, double> kernel_counters(Algo algo, std::uint64_t seed) {
   GemmOptions opt;
   opt.warps = 4;
   opt.smem_ratio = 0.0;
-  opt.record_trace = true;
-  Rng rng(1);
+  Rng rng(seed);
   const auto A = random_matrix<fp16_t>(64, 64, rng);
   const auto B = random_matrix<fp16_t>(64, 64, rng);
-  const auto r = gemm(Algo::OneD, dev(), A, B, opt);
-  ASSERT_NE(r.trace, nullptr);
+  obs::MetricRegistry reg;
+  {
+    const obs::ScopedMetricShard shard(reg);
+    (void)gemm(algo, dev(), A, B, opt);
+  }
+  return reg.counter_values();
+}
+
+TEST(KernelVolumes, OneDMovesExactlyTheModelVolume) {
+  const auto c = kernel_counters(Algo::OneD, 1);
   // Formula (1): writes = k*n*s_e; reads = (p-1) * that.
   const double kn_bytes = 64.0 * 64.0 * 2.0;
-  EXPECT_DOUBLE_EQ(r.trace->total_amount(sim::OpKind::SmemStore), kn_bytes);
-  EXPECT_DOUBLE_EQ(r.trace->total_amount(sim::OpKind::SmemLoad), 3.0 * kn_bytes);
+  EXPECT_DOUBLE_EQ(c.at("sim.smem.bytes_written"), kn_bytes);
+  EXPECT_DOUBLE_EQ(c.at("sim.smem.bytes_read"), 3.0 * kn_bytes);
 }
 
-TEST(TracedKernels, TwoDMovesBothOperands) {
-  GemmOptions opt;
-  opt.warps = 4;
-  opt.smem_ratio = 0.0;
-  opt.record_trace = true;
-  Rng rng(2);
-  const auto A = random_matrix<fp16_t>(64, 64, rng);
-  const auto B = random_matrix<fp16_t>(64, 64, rng);
-  const auto r = gemm(Algo::TwoD, dev(), A, B, opt);
-  ASSERT_NE(r.trace, nullptr);
+TEST(KernelVolumes, TwoDMovesBothOperands) {
   // Formula (5): writes = (mk + kn)*s_e.
-  EXPECT_DOUBLE_EQ(r.trace->total_amount(sim::OpKind::SmemStore), 2.0 * 64 * 64 * 2);
+  EXPECT_DOUBLE_EQ(kernel_counters(Algo::TwoD, 2).at("sim.smem.bytes_written"),
+                   2.0 * 64 * 64 * 2);
 }
 
-TEST(TracedKernels, MmaFlopsMatchIssuedWork) {
-  GemmOptions opt;
-  opt.warps = 4;
-  opt.smem_ratio = 0.0;
-  opt.record_trace = true;
-  Rng rng(3);
-  const auto A = random_matrix<fp16_t>(64, 64, rng);
-  const auto B = random_matrix<fp16_t>(64, 64, rng);
-  const auto r = gemm(Algo::OneD, dev(), A, B, opt);
-  // No padding at 64: the trace's MMA flops equal 2mnk.
-  EXPECT_DOUBLE_EQ(r.trace->total_amount(sim::OpKind::Mma), 2.0 * 64 * 64 * 64);
+TEST(KernelVolumes, MmaFlopsMatchIssuedWork) {
+  // No padding at 64: the issued MMA flops equal 2mnk.
+  EXPECT_DOUBLE_EQ(kernel_counters(Algo::OneD, 3).at("sim.mma.flops"), 2.0 * 64 * 64 * 64);
 }
 
 // ---------------------------------------------------------------------------

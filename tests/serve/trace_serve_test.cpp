@@ -239,20 +239,11 @@ TEST(TraceServe, InvalidRequestFailsInsideTheAdmitSpan) {
   EXPECT_EQ(t.find_span("rung[0]"), nullptr);
 }
 
-TEST(TraceServe, TracingOffOrNoRecorderCostsNothing) {
+TEST(TraceServe, NoRecorderCostsNothing) {
   // No recorder attached (the default): no traces anywhere, results intact.
   GemmServer plain;
   const auto [A, B] = operands<fp16_t>(64, 64, 64);
   ASSERT_TRUE(plain.serve<fp16_t>(Algo::OneD, sim::gh200(), A, B).ok());
-
-  // Recorder attached but tracing disabled: the recorder stays empty.
-  const auto flight = std::make_shared<FlightRecorder>();
-  ServeConfig cfg;
-  cfg.flight = flight;
-  cfg.tracing = false;
-  GemmServer server(cfg);
-  ASSERT_TRUE(server.serve<fp16_t>(Algo::OneD, sim::gh200(), A, B).ok());
-  EXPECT_EQ(flight->size(), 0u);
 }
 
 TEST(TraceServe, FreshServersProduceByteIdenticalTraces) {

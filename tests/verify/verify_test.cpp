@@ -10,7 +10,6 @@
 
 #include "core/kami.hpp"
 #include "model/predictor.hpp"
-#include "sim/trace.hpp"
 #include "verify/differential.hpp"
 #include "verify/invariants.hpp"
 #include "verify/model_check.hpp"
@@ -198,35 +197,6 @@ TEST(Invariants, ScopedFaultRestoresCleanState) {
 }
 
 TEST(Invariants, SelftestReportsClean) { EXPECT_EQ(invariant_selftest(), ""); }
-
-TEST(Invariants, MalformedTraceEventsAreRejected) {
-  sim::Trace trace;
-  sim::TraceEvent ok;
-  ok.warp = 0;
-  ok.issue = 1.0;
-  ok.start = 2.0;
-  ok.end = 3.0;
-  EXPECT_NO_THROW(trace.record(ok));
-
-  sim::TraceEvent negative_warp = ok;
-  negative_warp.warp = -1;
-  EXPECT_THROW(trace.record(negative_warp), InvariantViolation);
-
-  sim::TraceEvent inverted = ok;
-  inverted.start = 4.0;  // start > end
-  EXPECT_THROW(trace.record(inverted), InvariantViolation);
-
-  sim::TraceEvent out_of_order = ok;
-  out_of_order.issue = 0.5;  // earlier than warp 0's last issue (1.0)
-  out_of_order.start = 1.0;
-  out_of_order.end = 1.0;
-  EXPECT_THROW(trace.record(out_of_order), InvariantViolation);
-
-  // A different warp keeps its own watermark.
-  sim::TraceEvent other_warp = out_of_order;
-  other_warp.warp = 3;
-  EXPECT_NO_THROW(trace.record(other_warp));
-}
 
 #endif  // KAMI_CHECK_INVARIANTS
 
