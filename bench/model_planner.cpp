@@ -31,7 +31,7 @@ using bench::kBlocks;
 using bench::run_report;
 
 // The holdouts sit *between* calibration points: the band promises to hold
-// for interpolation, not extrapolation (model/predictor.hpp, band_pad).
+// for interpolation, not extrapolation (model/predictor.hpp, Predictor::kBandPad).
 constexpr std::size_t kCalibration[] = {32, 48, 64, 96, 128};
 constexpr std::size_t kHoldout[] = {80, 112};
 

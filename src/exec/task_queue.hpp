@@ -1,5 +1,5 @@
-// BoundedTaskQueue: the backpressure primitive behind GemmServer's async
-// request path. A fixed-capacity FIFO of thunks: producers never block —
+// BoundedTaskQueue: the per-shard request queue of FleetServer's async path
+// (serve/fleet.hpp). A fixed-capacity FIFO of thunks: producers never block —
 // a full (or closed) queue refuses the push so the caller can surface a
 // typed resource_exhausted instead of stalling the submitter; consumers
 // park on a condition variable until work arrives or the queue closes.

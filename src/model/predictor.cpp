@@ -75,9 +75,9 @@ void Predictor::bucket_fit_locked(const Bucket& b, double* scale, double* band,
   // the band also covers shapes between the calibration points.
   const double up = std::exp(b.log_max - mean_log) - 1.0;
   const double down = 1.0 - std::exp(b.log_min - mean_log);
-  *band = std::max(cfg_.band_floor, cfg_.band_pad * std::max(up, down));
-  *calibrated = b.count >= cfg_.min_samples;
-  *confident = *calibrated && *band <= cfg_.trust_rel_error;
+  *band = std::max(kBandFloor, kBandPad * std::max(up, down));
+  *calibrated = b.count >= kMinSamples;
+  *confident = *calibrated && *band <= kTrustRelError;
 }
 
 Prediction Predictor::predict(const sim::DeviceSpec& dev, Algo algo, Precision prec,
@@ -118,10 +118,9 @@ Prediction Predictor::predict(const sim::DeviceSpec& dev, Algo algo, Precision p
 }
 
 void Predictor::require_within_band(const Prediction& pred, double actual_cycles,
-                                    const PredictorConfig& cfg,
                                     const std::string& context) {
   KAMI_REQUIRE(actual_cycles > 0.0, "actual latency must be positive");
-  const double tolerance = pred.calibrated ? pred.rel_band : cfg.trust_rel_error;
+  const double tolerance = pred.calibrated ? pred.rel_band : kTrustRelError;
   const double rel_error = std::abs(actual_cycles - pred.cycles) / actual_cycles;
   if (rel_error > tolerance)
     throw ModelDivergence(context + ": formula-vs-simulator divergence " +

@@ -67,22 +67,8 @@ struct Prediction {
   double scale = 1.0;            ///< residual correction applied
   double rel_band = 0.0;         ///< calibrated relative-error bound (padded)
   std::size_t samples = 0;       ///< observations in this bucket
-  bool calibrated = false;       ///< bucket has >= PredictorConfig::min_samples
-  bool confident = false;        ///< calibrated && rel_band <= trust_rel_error
-};
-
-struct PredictorConfig {
-  /// Observations a bucket needs before its scale/band are meaningful.
-  std::size_t min_samples = 3;
-  /// A bucket whose padded band is wider than this is not trusted: callers
-  /// should fall back to a TimingOnly simulation.
-  double trust_rel_error = 0.35;
-  /// Safety multiplier over the worst observed deviation from the fitted
-  /// scale — the band must hold for shapes *between* the calibration points.
-  double band_pad = 2.0;
-  /// The band never claims to be tighter than this (guards against a
-  /// calibration set whose residuals happen to be identical).
-  double band_floor = 0.02;
+  bool calibrated = false;       ///< bucket has >= Predictor::kMinSamples
+  bool confident = false;        ///< calibrated && rel_band <= kTrustRelError
 };
 
 /// Typed failure for formula-vs-simulator disagreement beyond the calibrated
@@ -94,9 +80,17 @@ class ModelDivergence : public std::runtime_error {
 
 class Predictor {
  public:
-  explicit Predictor(PredictorConfig cfg = {}) : cfg_(cfg) {}
-
-  const PredictorConfig& config() const noexcept { return cfg_; }
+  /// Observations a bucket needs before its scale/band are meaningful.
+  static constexpr std::size_t kMinSamples = 3;
+  /// A bucket whose padded band is wider than this is not trusted: callers
+  /// should fall back to a TimingOnly simulation.
+  static constexpr double kTrustRelError = 0.35;
+  /// Safety multiplier over the worst observed deviation from the fitted
+  /// scale — the band must hold for shapes *between* the calibration points.
+  static constexpr double kBandPad = 2.0;
+  /// The band never claims to be tighter than this (guards against a
+  /// calibration set whose residuals happen to be identical).
+  static constexpr double kBandFloor = 0.02;
 
   /// Raw expanded-form T_all for one block — formula (4), (8) or (12) — with
   /// no residual correction. Throws PreconditionError when p does not fit the
@@ -122,9 +116,8 @@ class Predictor {
 
   /// Throw ModelDivergence when |actual - prediction| exceeds the
   /// calibrated tolerance: rel_band for a calibrated bucket, else
-  /// trust_rel_error. `context` prefixes the exception message.
+  /// kTrustRelError. `context` prefixes the exception message.
   static void require_within_band(const Prediction& pred, double actual_cycles,
-                                  const PredictorConfig& cfg,
                                   const std::string& context);
 
   /// Calibration state of one bucket, for reports and the bench tables.
@@ -174,7 +167,6 @@ class Predictor {
   void bucket_fit_locked(const Bucket& b, double* scale, double* band,
                          bool* calibrated, bool* confident) const;
 
-  PredictorConfig cfg_;
   mutable std::mutex mu_;
   std::map<BucketKey, Bucket> buckets_;
 };

@@ -11,7 +11,7 @@ void FlightRecorder::record(RequestTrace trace) {
   const bool error = trace.is_error();
   std::lock_guard lock(mu_);
   std::deque<Entry>& store = error ? errors_ : completed_;
-  const std::size_t capacity = error ? cfg_.error_capacity : cfg_.completed_capacity;
+  const std::size_t capacity = error ? kErrorCapacity : kCompletedCapacity;
   store.emplace_back(next_seq_++, std::move(trace));
   while (store.size() > capacity) store.pop_front();
 }
@@ -51,8 +51,8 @@ Json FlightRecorder::to_json() const {
   doc.set("schema_version", kFlightSchemaVersion);
   {
     std::lock_guard lock(mu_);
-    doc.set("completed_capacity", static_cast<double>(cfg_.completed_capacity));
-    doc.set("error_capacity", static_cast<double>(cfg_.error_capacity));
+    doc.set("completed_capacity", static_cast<double>(kCompletedCapacity));
+    doc.set("error_capacity", static_cast<double>(kErrorCapacity));
     doc.set("recorded", static_cast<double>(next_seq_));
   }
   Json traces = Json::array();

@@ -6,10 +6,10 @@
 // last few requests before an incident, and every request that failed. The
 // recorder therefore keeps two bounded stores:
 //
-//   * completed ring — the most recent `completed_capacity` ok traces;
+//   * completed ring — the most recent kCompletedCapacity ok traces;
 //     recording past capacity evicts the oldest ok trace;
 //   * error store — traces whose root carries a non-ok "code" attribute,
-//     bounded by `error_capacity` (its own ring, so an error storm cannot
+//     bounded by kErrorCapacity (its own ring, so an error storm cannot
 //     grow without bound either) — ok-trace churn never evicts an error.
 //
 // All methods are thread-safe. snapshot()/to_json() return traces in record
@@ -33,13 +33,8 @@ namespace kami::obs {
 
 class FlightRecorder {
  public:
-  struct Config {
-    std::size_t completed_capacity = 64;  ///< last-K ring of ok traces
-    std::size_t error_capacity = 256;     ///< typed-error traces retained
-  };
-
-  FlightRecorder() = default;
-  explicit FlightRecorder(Config cfg) : cfg_(cfg) {}
+  static constexpr std::size_t kCompletedCapacity = 64;  ///< last-K ring of ok traces
+  static constexpr std::size_t kErrorCapacity = 256;     ///< typed-error traces retained
 
   /// Record one finished trace; routes on RequestTrace::is_error().
   void record(RequestTrace trace);
@@ -47,7 +42,6 @@ class FlightRecorder {
   std::size_t completed_count() const;
   std::size_t error_count() const;
   std::size_t size() const;
-  const Config& config() const noexcept { return cfg_; }
 
   /// All retained traces in record order (errors and completions
   /// interleaved as they happened).
@@ -67,7 +61,6 @@ class FlightRecorder {
  private:
   using Entry = std::pair<std::uint64_t, RequestTrace>;  ///< (sequence, trace)
 
-  Config cfg_;
   mutable std::mutex mu_;
   std::uint64_t next_seq_ = 0;  ///< total traces ever recorded
   std::deque<Entry> completed_;

@@ -2,12 +2,12 @@
 // serving layer builds on.
 //
 // A RequestTrace is a tree of named, attributed spans on a *simulated-cycle*
-// timeline: admit -> per-rung plan/attempt spans -> complete. Nothing in a trace comes from a wall clock — span begin/end
-// are driven by a logical cycle clock the instrumented code advances with
-// deterministic quantities (a kernel attempt advances by its simulated
-// latency, a retry backoff by its configured penalty) — so the same request
-// produces the byte-identical trace on every run, every thread count, and
-// every machine. That is what lets the chaos campaign diff flight-recorder
+// timeline: admit -> per-rung plan/attempt spans -> complete. Nothing in a
+// trace comes from a wall clock — span begin/end are driven by a logical
+// cycle clock the instrumented code advances with deterministic quantities
+// (a kernel attempt advances by its simulated latency, a deadline abort by
+// the spent budget) — so the same request produces the byte-identical trace
+// on every run, every thread count, and every machine. That is what lets the chaos campaign diff flight-recorder
 // dumps across worker counts and what makes every recorded failure exactly
 // replayable.
 //

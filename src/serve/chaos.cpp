@@ -123,7 +123,6 @@ FleetConfig fleet_config_for(const ChaosPoint& p,
   // and execution order are functions of the point alone.
   cfg.async_workers_per_device = 0;
   cfg.probe_cooldown_requests = p.probe_cooldown;
-  cfg.blackout_failure_threshold = 1;
   cfg.hedge_deadline_requests = p.hedge;
   cfg.route_skew = p.route_skew;
   // Hermetic planner state: routing must not read (or warm) the process-wide
@@ -473,7 +472,7 @@ ChaosReport run_campaign(std::uint64_t base_seed, std::size_t points, int worker
     const std::uint64_t seed = base_seed + i;
     run.point = chaos_point(seed);
     std::shared_ptr<obs::FlightRecorder> point_flight;
-    if (flight) point_flight = std::make_shared<obs::FlightRecorder>(flight->config());
+    if (flight) point_flight = std::make_shared<obs::FlightRecorder>();
     if (slo) run.slo = std::make_shared<SloTracker>();
     run.outcome = run_chaos_point(run.point, point_flight, run.slo,
                                   "seed" + std::to_string(seed));

@@ -34,13 +34,8 @@ FleetServer::FleetServer(FleetConfig cfg) : cfg_(std::move(cfg)) {
     sim::validate_device(dev.spec);
     auto shard = std::make_unique<Shard>();
     shard->cfg = dev;
-    ServeConfig serve_cfg = dev.serve;
-    serve_cfg.flight = cfg_.flight;
-    // One fleet request is exactly one SLO record, accounted at fleet level
-    // over the whole failover chain — shard servers must not double-count.
-    serve_cfg.slo = nullptr;
-    serve_cfg.request_id_prefix = cfg_.request_id_prefix + "-d" + std::to_string(i);
-    shard->server = std::make_unique<GemmServer>(serve_cfg);
+    shard->server = std::make_unique<GemmServer>(
+        ServeConfig{cfg_.request_id_prefix + "-d" + std::to_string(i), cfg_.flight});
     shard->queue = std::make_unique<exec::BoundedTaskQueue>(dev.queue_depth);
     shards_.push_back(std::move(shard));
   }
@@ -124,7 +119,6 @@ void FleetServer::tick_health() {
           metrics.counter("fleet.probes.failed").increment();
         } else {
           s.health = DeviceHealth::Healthy;
-          s.consecutive_refusals = 0;
           metrics.counter("fleet.probes.recovered").increment();
         }
         break;
@@ -140,9 +134,7 @@ ServeError FleetServer::note_blackout_refusal(int idx, std::size_t m, std::size_
   Shard& s = *shards_[static_cast<std::size_t>(idx)];
   {
     std::lock_guard lock(mu_);
-    ++s.consecutive_refusals;
-    if (s.health != DeviceHealth::Down &&
-        s.consecutive_refusals >= cfg_.blackout_failure_threshold) {
+    if (s.health != DeviceHealth::Down) {
       s.health = DeviceHealth::Down;
       s.probe_cooldown = cfg_.probe_cooldown_requests;
       metrics.counter("fleet.marked_down").increment();
@@ -157,8 +149,7 @@ ServeError FleetServer::note_blackout_refusal(int idx, std::size_t m, std::size_
 
 void FleetServer::note_success(int idx, const AffinityKey& key) {
   std::lock_guard lock(mu_);
-  shards_[static_cast<std::size_t>(idx)]->consecutive_refusals = 0;
-  if (cfg_.shape_affinity) affinity_[key] = idx;
+  affinity_[key] = idx;
 }
 
 std::vector<int> FleetServer::route_order(core::Algo algo, Precision prec,
@@ -205,13 +196,10 @@ std::vector<int> FleetServer::route_order(core::Algo algo, Precision prec,
     }
     metrics.counter(std::string("fleet.route.") + source).increment();
 
-    double score =
-        seconds * (1.0 + cfg_.queue_depth_penalty * static_cast<double>(s.queue->size()));
-    if (cfg_.shape_affinity) {
-      const auto it = affinity_.find(AffinityKey{prec, algo, m, n, k});
-      if (it != affinity_.end() && it->second == static_cast<int>(i))
-        score *= cfg_.affinity_bonus;
-    }
+    double score = seconds * (1.0 + static_cast<double>(s.queue->size()));
+    const auto it = affinity_.find(AffinityKey{prec, algo, m, n, k});
+    if (it != affinity_.end() && it->second == static_cast<int>(i))
+      score *= kAffinityBonus;
     if (i < cfg_.route_skew.size()) score *= cfg_.route_skew[i];
     candidates.push_back(Candidate{score, static_cast<int>(i)});
   }

@@ -12,29 +12,31 @@
 //   * cost-model routing — per eligible device, core::estimate_plan's
 //     cache -> formula -> Unplanned tiers predict the request's cycles
 //     (never simulating); predictions are normalized to seconds at each
-//     device's clock, scaled by (1 + queue_depth_penalty x queue depth), and
-//     discounted by shape affinity (the device that last served this exact
-//     (precision, algo, shape) keeps it, so warm ProfileCache/Predictor
-//     state stays warm). Devices whose plan is infeasible as requested stay
-//     routable on a peak-throughput heuristic: their ladder may still
-//     degrade. Routing is deterministic: stable sort by (score, index).
+//     device's clock, scaled by (1 + queue depth), and multiplied by
+//     kAffinityBonus on the device that last served this exact (precision,
+//     algo, shape), so warm ProfileCache/Predictor state stays warm.
+//     Devices whose plan is infeasible as requested stay routable on a
+//     peak-throughput heuristic: their ladder may still degrade. Routing is
+//     deterministic: stable sort by (score, index).
 //   * admission control — a request no healthy device can take (precision
 //     unsupported, every queue full, fleet fully blacked out) is refused
 //     with a typed ResourceExhausted before any rung, breaker, or retry is
 //     touched.
 //   * failover — a dispatch that comes back DeviceUnavailable (blackout),
 //     ResourceExhausted, InfeasiblePlan, or TransientFault moves to the
-//     next-best healthy device. InvalidRequest, DeadlineExceeded, and
-//     InternalInvariant are terminal: another device cannot help, or must
-//     not mask the bug. Failover never changes results: the operands are
-//     device-independent, so the eventual ServeResult is bit-identical to
-//     serving directly on the device that answered.
+//     next-best healthy device; the chain may try every eligible device.
+//     InvalidRequest, DeadlineExceeded, and InternalInvariant are terminal:
+//     another device cannot help, or must not mask the bug. Failover never
+//     changes results: the operands are device-independent, so the eventual
+//     ServeResult is bit-identical to serving directly on the device that
+//     answered.
 //   * health state machine — a device discovered blacked out at dispatch is
-//     marked Down and leaves the routing set. The fleet's request counter is
-//     its probe clock: after probe_cooldown_requests further fleet requests
-//     the shard moves to Probing, and the next request's health tick pings
-//     it (an out-of-band probe against the blackout flag): cleared -> back
-//     to Healthy, still dark -> Down again with a fresh cooldown.
+//     marked Down at its first refusal and leaves the routing set. The
+//     fleet's request counter is its probe clock: after
+//     probe_cooldown_requests further fleet requests the shard moves to
+//     Probing, and the next request's health tick pings it (an out-of-band
+//     probe against the blackout flag): cleared -> back to Healthy, still
+//     dark -> Down again with a fresh cooldown.
 //   * hedged retries — optionally (hedge_deadline_requests), a
 //     deadline-carrying request is dispatched to the two best-ranked devices
 //     (sequentially, so the outcome is deterministic) and the faster success
@@ -75,6 +77,7 @@
 #include "core/analytic_planner.hpp"
 #include "exec/task_queue.hpp"
 #include "serve/serve.hpp"
+#include "serve/slo.hpp"
 #include "sim/device.hpp"
 
 namespace kami::serve {
@@ -88,10 +91,6 @@ struct FleetDeviceConfig {
   sim::DeviceSpec spec;
   /// Capacity of this shard's bounded async request queue.
   std::size_t queue_depth = 64;
-  /// Per-device ladder/retry/breaker policy. request_id_prefix is overridden
-  /// by the fleet (ids become "<prefix>-d<i>-<n>"), and the SLO tracker is
-  /// detached so one fleet request is one SLO record.
-  ServeConfig serve;
 };
 
 struct FleetConfig {
@@ -104,20 +103,6 @@ struct FleetConfig {
   /// chaos campaign's mode.
   int async_workers_per_device = 1;
 
-  // -- routing policy.
-  bool shape_affinity = true;
-  /// Score multiplier (< 1 favors) for the device that last served the
-  /// request's exact (precision, algo, m, n, k).
-  double affinity_bonus = 0.85;
-  /// Predicted seconds are scaled by (1 + penalty * queued_requests).
-  double queue_depth_penalty = 1.0;
-  /// Max devices tried per request (failover chain length). 0 = all
-  /// eligible devices.
-  int max_route_attempts = 0;
-
-  // -- health policy.
-  /// Blackout refusals before a device is marked Down (1 = first refusal).
-  int blackout_failure_threshold = 1;
   /// Fleet requests a Down device waits before it becomes Probing.
   int probe_cooldown_requests = 8;
 
@@ -161,6 +146,10 @@ struct FleetResult {
 
 class FleetServer {
  public:
+  /// Score multiplier for the device that last served the request's exact
+  /// (precision, algo, m, n, k): below 1, so the shape stays where it is warm.
+  static constexpr double kAffinityBonus = 0.85;
+
   /// Validates every device spec (sim::validate_device — typed
   /// PreconditionError naming the offending field) and pre-registers the
   /// fleet.* metrics at zero. No threads are created here; shard workers
@@ -230,7 +219,6 @@ class FleetServer {
     std::atomic<bool> blackout{false};
     // Health fields are guarded by the fleet's mu_.
     DeviceHealth health = DeviceHealth::Healthy;
-    int consecutive_refusals = 0;
     int probe_cooldown = 0;
   };
 
@@ -252,8 +240,8 @@ class FleetServer {
   /// Advance the health clock by one fleet request: Down shards count down
   /// toward Probing; Probing shards are pinged against their blackout flag.
   void tick_health();
-  /// One blackout refusal: bump the shard's failure count, possibly mark it
-  /// Down. Returns the typed error for the dispatch loop.
+  /// One blackout refusal: mark the shard Down (if it is not already).
+  /// Returns the typed error for the dispatch loop.
   ServeError note_blackout_refusal(int idx, std::size_t m, std::size_t n, std::size_t k);
   void note_success(int idx, const AffinityKey& key);
   void update_healthy_gauge();  ///< caller holds mu_
@@ -358,11 +346,6 @@ FleetResult<T> FleetServer::serve_fleet_request(const std::string& id, int prima
     return out;
   }
 
-  const std::size_t limit =
-      cfg_.max_route_attempts > 0
-          ? std::min(order.size(), static_cast<std::size_t>(cfg_.max_route_attempts))
-          : order.size();
-
   ServeError last{ErrorCode::ResourceExhausted, "no device dispatched the request"};
   int tried = 0;
   std::size_t pos = 0;
@@ -430,7 +413,7 @@ FleetResult<T> FleetServer::serve_fleet_request(const std::string& id, int prima
     pos = 2;
   }
 
-  for (; pos < limit; ++pos) {
+  for (; pos < order.size(); ++pos) {
     const int idx = order[pos];
     ++tried;
     ServeResult<T> res;

@@ -1,9 +1,5 @@
 #include "serve/serve.hpp"
 
-#include <chrono>
-#include <cmath>
-#include <thread>
-
 #include "sim/deadline.hpp"
 #include "sim/register_file.hpp"
 
@@ -65,7 +61,7 @@ GemmServer::GemmServer(ServeConfig cfg) : cfg_(std::move(cfg)) {
   auto& metrics = obs::MetricRegistry::current();
   for (const char* name :
        {"serve.requests", "serve.ok", "serve.errors", "serve.retries",
-        "serve.degraded", "serve.backoff_ms", "serve.breaker.trips",
+        "serve.degraded", "serve.breaker.trips",
         "serve.breaker.closes", "serve.breaker.short_circuits",
         "serve.breaker.half_open_probes"})
     metrics.counter(name);
@@ -73,42 +69,23 @@ GemmServer::GemmServer(ServeConfig cfg) : cfg_(std::move(cfg)) {
     metrics.histogram(name);
 }
 
-std::vector<GemmServer::Rung> GemmServer::build_ladder(core::Algo requested,
-                                                       const ServeConfig& cfg) {
-  std::vector<Rung> ladder;
-  const auto push = [&](core::Algo a, const char* label) {
-    ladder.push_back(Rung{false, a, label});
-  };
-  switch (requested) {
-    case core::Algo::ThreeD:
-      push(core::Algo::ThreeD, "kami_3d");
-      if (cfg.allow_degradation) {
-        push(core::Algo::TwoD, "kami_2d");
-        push(core::Algo::OneD, "kami_1d");
-      }
-      break;
-    case core::Algo::TwoD:
-      push(core::Algo::TwoD, "kami_2d");
-      if (cfg.allow_degradation) push(core::Algo::OneD, "kami_1d");
-      break;
-    case core::Algo::OneD:
-    default:
-      push(core::Algo::OneD, "kami_1d");
-      break;
-  }
-  if (cfg.allow_degradation && cfg.allow_reference_fallback)
-    ladder.push_back(Rung{true, core::Algo::OneD, "reference"});
-  return ladder;
+std::span<const GemmServer::Rung> GemmServer::kami_rungs_from(core::Algo requested) {
+  static constexpr Rung kKamiRungs[] = {{core::Algo::ThreeD, "kami_3d"},
+                                        {core::Algo::TwoD, "kami_2d"},
+                                        {core::Algo::OneD, "kami_1d"}};
+  const std::size_t first = requested == core::Algo::ThreeD ? 0
+                            : requested == core::Algo::TwoD ? 1
+                                                            : 2;
+  return std::span<const Rung>(kKamiRungs).subspan(first);
 }
 
-bool GemmServer::breaker_admit(const RungKey& key, ServeError* out,
-                               BreakerState* observed) {
+bool GemmServer::breaker_admit(const RungKey& key, BreakerState* observed) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (observed != nullptr) *observed = BreakerState::Closed;
+  *observed = BreakerState::Closed;
   auto it = breakers_.find(key);
   if (it == breakers_.end()) return true;
   Breaker& b = it->second;
-  if (observed != nullptr) *observed = b.state;
+  *observed = b.state;
   switch (b.state) {
     case BreakerState::Closed:
     case BreakerState::HalfOpen:
@@ -117,25 +94,18 @@ bool GemmServer::breaker_admit(const RungKey& key, ServeError* out,
       if (b.cooldown_remaining > 0) {
         --b.cooldown_remaining;
         obs::MetricRegistry::current().counter("serve.breaker.short_circuits").increment();
-        *out = ServeError{
-            b.last_code,
-            std::string(algo_name(key.algo)) + " rung short-circuited by open circuit "
-                "breaker on " + key.device + " (" + precision_name(key.prec) + " m=" +
-                std::to_string(key.m) + " n=" + std::to_string(key.n) + " k=" +
-                std::to_string(key.k) + "); last failure: " + b.last_message};
         return false;
       }
       // Cooldown expired: this request is the half-open probe.
       b.state = BreakerState::HalfOpen;
-      if (observed != nullptr) *observed = BreakerState::HalfOpen;
+      *observed = BreakerState::HalfOpen;
       obs::MetricRegistry::current().counter("serve.breaker.half_open_probes").increment();
       return true;
   }
   return true;
 }
 
-void GemmServer::breaker_record(const RungKey& key, bool success, ErrorCode code,
-                                const std::string& message) {
+void GemmServer::breaker_record(const RungKey& key, bool success) {
   std::lock_guard<std::mutex> lock(mu_);
   Breaker& b = breakers_[key];
   if (success) {
@@ -144,15 +114,13 @@ void GemmServer::breaker_record(const RungKey& key, bool success, ErrorCode code
     b = Breaker{};  // closed, zero failures
     return;
   }
-  b.last_code = code;
-  b.last_message = message;
   ++b.consecutive_failures;
   const bool reopen = b.state == BreakerState::HalfOpen;  // failed probe
-  if (reopen || b.consecutive_failures >= cfg_.breaker_failure_threshold) {
+  if (reopen || b.consecutive_failures >= kBreakerFailureThreshold) {
     if (b.state != BreakerState::Open)
       obs::MetricRegistry::current().counter("serve.breaker.trips").increment();
     b.state = BreakerState::Open;
-    b.cooldown_remaining = cfg_.breaker_cooldown_requests;
+    b.cooldown_remaining = kBreakerCooldownRequests;
   }
 }
 
@@ -162,20 +130,6 @@ BreakerState GemmServer::breaker_state(const std::string& device, core::Algo alg
   std::lock_guard<std::mutex> lock(mu_);
   auto it = breakers_.find(RungKey{device, algo, prec, m, n, k});
   return it == breakers_.end() ? BreakerState::Closed : it->second.state;
-}
-
-void GemmServer::reset_breakers() {
-  std::lock_guard<std::mutex> lock(mu_);
-  breakers_.clear();
-}
-
-double GemmServer::backoff(int attempt) const {
-  if (cfg_.backoff_base_ms <= 0.0) return 0.0;
-  const double ms =
-      std::min(cfg_.backoff_base_ms * std::ldexp(1.0, attempt - 1), cfg_.backoff_max_ms);
-  obs::MetricRegistry::current().counter("serve.backoff_ms").add(ms);
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-  return ms;
 }
 
 }  // namespace kami::serve

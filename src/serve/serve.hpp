@@ -16,24 +16,27 @@
 //     baselines/reference.hpp). That oracle is only what the tests,
 //     verify/ and the chaos contract check the rung against, so serving
 //     never runs the code that checks it.
-//   * retry with bounded exponential backoff — transient faults (injected
-//     through verify::FaultHooks, the chaos campaign's fault source) are
-//     retried up to max_attempts_per_rung times per rung.
+//   * immediate retry — transient faults (injected through
+//     verify::FaultHooks, the chaos campaign's fault source) are retried
+//     on the same rung, kMaxAttemptsPerRung attempts in all. A simulated
+//     fault clears at once, so a retry waits for nothing.
 //   * cycle-budget watchdog — GemmOptions::deadline_cycles aborts runaway
 //     simulations deterministically; deadline errors are terminal (the
 //     budget is spent — degrading would spend more) and surface as
 //     ErrorCode::DeadlineExceeded.
 //   * circuit breaker — per (device, precision, shape, algorithm) rung:
-//     after breaker_failure_threshold consecutive failures the rung is
+//     after kBreakerFailureThreshold consecutive failures the rung is
 //     skipped outright (straight to the next rung) for
-//     breaker_cooldown_requests requests, then a half-open probe decides
+//     kBreakerCooldownRequests requests, then a half-open probe decides
 //     whether to close it again.
 //
 // Every request is additionally observable: it gets a request id, its
-// end-to-end latency lands in the serve.end_to_end_cycles histogram and the
-// attached SloTracker, and — when a FlightRecorder is attached — a full
-// span trace (admit -> per-rung plan/attempt/backoff -> typed completion)
-// on the deterministic logical-cycle timeline obs::TraceBuilder defines.
+// end-to-end latency lands in the serve.end_to_end_cycles histogram, and —
+// when a FlightRecorder is attached — a full span trace (admit -> per-rung
+// plan/attempt -> typed completion) on the deterministic logical-cycle
+// timeline obs::TraceBuilder defines. SLO accounting is the fleet's
+// (FleetConfig::slo): one fleet request, failover chain and all, is one
+// record.
 //
 // GemmServer is synchronous: one device's ladder, called on the caller's
 // thread. Queueing, async submission and worker threads live one level up,
@@ -49,9 +52,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/analytic_planner.hpp"
 #include "core/kami.hpp"
@@ -60,7 +63,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "serve/error.hpp"
-#include "serve/slo.hpp"
 #include "sim/device.hpp"
 #include "sim/exec_mode.hpp"
 #include "verify/invariants.hpp"
@@ -68,28 +70,15 @@
 namespace kami::serve {
 
 struct ServeConfig {
-  bool allow_degradation = true;        ///< walk lower rungs on plan failures
-  bool allow_reference_fallback = true; ///< host reference GEMM as the last rung
-  int max_attempts_per_rung = 3;        ///< 1 initial try + 2 transient-fault retries
-  /// Host-side exponential backoff between transient-fault retries:
-  /// min(backoff_base_ms * 2^(attempt-1), backoff_max_ms), published to the
-  /// serve.backoff_ms counter. 0 (the default — simulated faults clear
-  /// instantly) disables the wait entirely.
-  double backoff_base_ms = 0.0;
-  double backoff_max_ms = 8.0;
-  int breaker_failure_threshold = 3;    ///< consecutive failures that trip a rung
-  int breaker_cooldown_requests = 8;    ///< open requests before a half-open probe
-
   /// Request ids are "<prefix>-<n>" with n counting from 1 per server; the
-  /// chaos campaign stamps a per-seed prefix so ids stay unique (and
-  /// deterministic) across its per-point servers.
+  /// fleet stamps "<fleet prefix>-d<i>" so ids stay unique (and
+  /// deterministic) across its shards and the chaos campaign's per-point
+  /// fleets.
   std::string request_id_prefix = "req";
   /// Destination for finished request traces (shared so dashboards and the
   /// server can outlive each other). A span trace is built per request only
   /// when a recorder is attached, so the default (nullptr) pays nothing.
   std::shared_ptr<obs::FlightRecorder> flight;
-  /// Per-shape-class SLO accounting; works with or without tracing.
-  std::shared_ptr<SloTracker> slo;
 };
 
 enum class BreakerState { Closed, Open, HalfOpen };
@@ -112,11 +101,12 @@ struct ServeResult {
   int attempts = 0;          ///< kernel attempts across all rungs
   int warps = 0;
   double smem_ratio = 0.0;
-  /// The request's final logical clock: per-attempt kernel latency +
-  /// configured backoff (+ the spent budget on a deadline abort), in
-  /// simulated cycles. This is the quantity the serve.end_to_end_cycles
-  /// histogram and the SLO tracker observe; FleetServer reads it to account
-  /// a whole failover chain as one fleet request.
+  /// The request's final logical clock, in simulated cycles: the kernel
+  /// latency of the attempt that served (0 on the reference rung and for
+  /// degenerate shapes), or the spent budget on a deadline abort. Failed
+  /// attempts and retries add nothing. This is the quantity the
+  /// serve.end_to_end_cycles histogram observes; FleetServer reads it to
+  /// account a whole failover chain as one fleet request.
   double end_to_end_cycles = 0.0;
 
   bool ok() const noexcept { return code == ErrorCode::Ok; }
@@ -124,6 +114,13 @@ struct ServeResult {
 
 class GemmServer {
  public:
+  /// Kernel attempts per rung: one try plus two transient-fault retries.
+  static constexpr int kMaxAttemptsPerRung = 3;
+  /// Consecutive failed requests that trip a rung's breaker.
+  static constexpr int kBreakerFailureThreshold = 3;
+  /// Requests an open breaker short-circuits before its half-open probe.
+  static constexpr int kBreakerCooldownRequests = 8;
+
   /// Construction is passive, but it does pre-register the serve.* metrics
   /// at zero, so a server that is constructed and destroyed without ever
   /// serving exports zero-valued (not absent) counters.
@@ -138,14 +135,9 @@ class GemmServer {
   ServeResult<T> serve(core::Algo algo, const sim::DeviceSpec& dev, const Matrix<T>& A,
                        const Matrix<T>& B, core::GemmOptions opt = {});
 
-  const ServeConfig& config() const noexcept { return cfg_; }
-
   /// Breaker state for one rung key (for tests and dashboards).
   BreakerState breaker_state(const std::string& device, core::Algo algo, Precision prec,
                              std::size_t m, std::size_t n, std::size_t k) const;
-
-  /// Drop all breaker state (e.g. between chaos campaign phases).
-  void reset_breakers();
 
  private:
   struct RungKey {
@@ -159,18 +151,17 @@ class GemmServer {
     BreakerState state = BreakerState::Closed;
     int consecutive_failures = 0;
     int cooldown_remaining = 0;
-    ErrorCode last_code = ErrorCode::InfeasiblePlan;  ///< reported on short-circuit
-    std::string last_message;
   };
 
-  /// One rung of the degradation ladder.
+  /// One KAMI rung of the degradation ladder.
   struct Rung {
-    bool reference = false;
     core::Algo algo = core::Algo::OneD;
     const char* label = "";
   };
 
-  static std::vector<Rung> build_ladder(core::Algo requested, const ServeConfig& cfg);
+  /// The KAMI rungs from `requested` down (KAMI-3D, KAMI-2D, KAMI-1D). The
+  /// host reference rung follows the last of them on every ladder.
+  static std::span<const Rung> kami_rungs_from(core::Algo requested);
 
   std::string next_request_id() {
     return cfg_.request_id_prefix + "-" +
@@ -178,20 +169,12 @@ class GemmServer {
   }
 
   /// Admission decision: true = run the rung (Closed, or Open whose cooldown
-  /// just expired — the half-open probe). False = short-circuit; *out gets
-  /// the breaker's stored failure for the typed error. `observed` (optional)
-  /// receives the state the decision saw — Open for a short-circuit,
-  /// HalfOpen for the probe — for the rung span's breaker attribute.
-  bool breaker_admit(const RungKey& key, ServeError* out,
-                     BreakerState* observed = nullptr);
-  void breaker_record(const RungKey& key, bool success, ErrorCode code,
-                      const std::string& message);
-
-  /// Sleep (when configured) and publish the bounded exponential backoff for
-  /// retry number `attempt` (1-based count of the attempt that just failed).
-  /// Returns the applied delay in milliseconds (0 when disabled) so the
-  /// request trace can advance its logical clock by the same quantity.
-  double backoff(int attempt) const;
+  /// just expired — the half-open probe). False = short-circuit to the next
+  /// rung. `*observed` receives the state the decision saw — Open for a
+  /// short-circuit, HalfOpen for the probe — for the rung span's breaker
+  /// attribute.
+  bool breaker_admit(const RungKey& key, BreakerState* observed);
+  void breaker_record(const RungKey& key, bool success);
 
   ServeConfig cfg_;
   std::atomic<std::uint64_t> request_counter_{0};
@@ -215,9 +198,9 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
   const std::size_t m = A.rows(), k = A.cols(), n = B.cols();
 
   // The request's logical clock: begins at 0, advances only by deterministic
-  // simulated quantities (kernel latency, deadline budget, configured
-  // backoff). It exists whether or not a trace is built — the
-  // serve.end_to_end_cycles histogram and the SLO tracker read it.
+  // simulated quantities (kernel latency, deadline budget). It exists
+  // whether or not a trace is built — the serve.end_to_end_cycles histogram
+  // and the fleet read it.
   double clock = 0.0;
   std::optional<obs::TraceBuilder> trace;
   if (cfg_.flight) {
@@ -235,13 +218,11 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
   };
 
   // Completion funnel: every exit path lands here exactly once to publish
-  // the latency histograms, the SLO record, and the finished trace
-  // (TraceBuilder::finish closes any still-open spans at the final clock).
+  // the latency histogram and the finished trace (TraceBuilder::finish
+  // closes any still-open spans at the final clock).
   const auto complete = [&] {
     out.end_to_end_cycles = clock;
     metrics.histogram("serve.end_to_end_cycles").observe(clock);
-    if (cfg_.slo)
-      cfg_.slo->record(m, n, k, out.code, out.rung_label, clock, opt.deadline_cycles);
     if (trace) {
       trace->root_attr("code", error_code_name(out.code));
       if (!out.message.empty()) trace->root_attr("error", out.message);
@@ -296,32 +277,26 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
     return out;
   }
 
-  const std::vector<Rung> ladder = build_ladder(algo, cfg_);
-  ServeError last{ErrorCode::InfeasiblePlan, "no rung admitted the request"};
-
-  for (std::size_t r = 0; r < ladder.size(); ++r) {
-    const Rung& rung = ladder[r];
+  const std::span<const Rung> kami_rungs = kami_rungs_from(algo);
+  for (std::size_t r = 0; r < kami_rungs.size(); ++r) {
+    const Rung& rung = kami_rungs[r];
     const RungKey key{dev.name, rung.algo, num_traits<T>::precision, m, n, k};
 
     if (trace) {
       trace->open("rung[" + std::to_string(r) + "]");
       trace->attr("label", rung.label);
-      trace->attr("algo", rung.reference ? "reference" : algo_name(rung.algo));
+      trace->attr("algo", algo_name(rung.algo));
     }
 
-    if (!rung.reference) {
-      ServeError short_circuit;
-      BreakerState observed = BreakerState::Closed;
-      const bool admitted = breaker_admit(key, &short_circuit, &observed);
-      if (trace) trace->attr("breaker", breaker_state_name(observed));
-      if (!admitted) {
-        if (trace) {
-          trace->attr("skipped", "breaker_open");
-          trace->close_to(1);
-        }
-        last = short_circuit;
-        continue;  // breaker open: route straight to the next rung
+    BreakerState observed = BreakerState::Closed;
+    const bool admitted = breaker_admit(key, &observed);
+    if (trace) trace->attr("breaker", breaker_state_name(observed));
+    if (!admitted) {
+      if (trace) {
+        trace->attr("skipped", "breaker_open");
+        trace->close_to(1);
       }
+      continue;  // breaker open: route straight to the next rung
     }
 
     // Tuning overrides were chosen for the requested configuration; degraded
@@ -330,26 +305,6 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
     if (r > 0) {
       ropt.warps = 0;
       ropt.smem_ratio = -1.0;
-    }
-
-    if (rung.reference) {
-      ++out.attempts;
-      out.code = ErrorCode::Ok;
-      out.C = core::numeric_gemm(A, B);
-      out.from_reference = true;
-      out.degraded = true;
-      out.rung = static_cast<int>(r);
-      out.rung_label = rung.label;
-      metrics.counter("serve.ok").increment();
-      metrics.counter("serve.degraded").increment();
-      metrics.counter("serve.served.reference").increment();
-      metrics.histogram("serve.rung").observe(static_cast<double>(r));
-      if (trace) {
-        trace->attr("result", "ok");
-        trace->close_to(1);
-      }
-      complete();
-      return out;
     }
 
     // The plan estimate is an observation, not a decision: the analytic fast
@@ -382,7 +337,7 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
     }
     if (trace) trace->close();
 
-    for (int attempt = 1; attempt <= cfg_.max_attempts_per_rung; ++attempt) {
+    for (int attempt = 1; attempt <= kMaxAttemptsPerRung; ++attempt) {
       ++out.attempts;
       if (trace) {
         trace->open("attempt[" + std::to_string(attempt) + "]");
@@ -390,7 +345,7 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
       }
       try {
         core::GemmResult<T> res = kami::gemm(rung.algo, dev, A, B, ropt);
-        breaker_record(key, true, ErrorCode::Ok, "");
+        breaker_record(key, true);
         out.code = ErrorCode::Ok;
         out.C = std::move(res.C);
         out.profile = res.profile;
@@ -455,38 +410,52 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
         if (code == ErrorCode::InternalInvariant) {
           // A simulator bug with no fault source must never be masked by
           // degradation — surface it immediately.
-          breaker_record(key, false, code, message);
+          breaker_record(key, false);
           return fail(code, message);
         }
-        if (code == ErrorCode::TransientFault && attempt < cfg_.max_attempts_per_rung) {
+        if (code == ErrorCode::TransientFault && attempt < kMaxAttemptsPerRung) {
           // The injected fault cleared if its armed_runs budget ran out; a
           // positive budget models "goes away when retried".
           if (auto& hooks = verify::fault_hooks(); hooks.armed_runs > 0)
             --hooks.armed_runs;
           metrics.counter("serve.retries").increment();
           if (trace) trace->close_to(2);  // close the attempt, keep the rung
-          const double delay_ms = backoff(attempt);
-          if (delay_ms > 0.0) {
-            if (trace) {
-              trace->open("backoff");
-              trace->attr_num("delay_ms", delay_ms);
-            }
-            // 1 GHz = 1 cycle/ns, so ms * GHz * 1e6 = simulated cycles.
-            advance(delay_ms * dev.boost_clock_ghz * 1e6);
-            if (trace) trace->close();
-          }
           continue;
         }
         // Infeasible plan, exhausted resources, or a transient fault that
         // outlived its retries: count it against the breaker, degrade.
-        breaker_record(key, false, code, message);
-        last = ServeError{code, message};
+        breaker_record(key, false);
         if (trace) trace->close_to(1);
         break;
       }
     }
   }
-  return fail(last.code, last.message);
+
+  // The host reference rung ends every ladder: host-side, it is immune to
+  // simulator faults and always serves.
+  const std::size_t r = kami_rungs.size();
+  if (trace) {
+    trace->open("rung[" + std::to_string(r) + "]");
+    trace->attr("label", "reference");
+    trace->attr("algo", "reference");
+  }
+  ++out.attempts;
+  out.code = ErrorCode::Ok;
+  out.C = core::numeric_gemm(A, B);
+  out.from_reference = true;
+  out.degraded = true;
+  out.rung = static_cast<int>(r);
+  out.rung_label = "reference";
+  metrics.counter("serve.ok").increment();
+  metrics.counter("serve.degraded").increment();
+  metrics.counter("serve.served.reference").increment();
+  metrics.histogram("serve.rung").observe(static_cast<double>(r));
+  if (trace) {
+    trace->attr("result", "ok");
+    trace->close_to(1);
+  }
+  complete();
+  return out;
 }
 
 }  // namespace kami::serve

@@ -67,7 +67,7 @@ CheckResult model_check_impl(const CheckPoint& p) {
   if (!prediction.calibrated) {
     std::ostringstream os;
     os << "bucket uncalibrated after grid (" << fed << " of "
-       << predictor.config().min_samples << " needed observations)";
+       << model::Predictor::kMinSamples << " needed observations)";
     return {true, true, os.str()};
   }
 
@@ -75,7 +75,6 @@ CheckResult model_check_impl(const CheckPoint& p) {
       core::timing_profile<T>(cache, p.algo, dev, p.m, p.n, p.k, p.options);
   try {
     model::Predictor::require_within_band(prediction, actual.profile.latency,
-                                          predictor.config(),
                                           "model check [" + to_string(p) + "]");
   } catch (const model::ModelDivergence& e) {
     return {false, false, e.what()};

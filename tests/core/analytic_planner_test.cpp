@@ -72,8 +72,8 @@ TEST(AnalyticPlanner, CalibratedPredictionIsAnalyticAndWithinBand) {
   ProfileCache fresh(16);
   const double actual =
       timing_profile<fp16_t>(fresh, Algo::OneD, dev(), 96, 96, 96).profile.latency;
-  EXPECT_NO_THROW(model::Predictor::require_within_band(est.prediction, actual,
-                                                        pred.config(), "planner test"));
+  EXPECT_NO_THROW(
+      model::Predictor::require_within_band(est.prediction, actual, "planner test"));
   EXPECT_LE(std::abs(actual - est.cycles) / actual, est.prediction.rel_band);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/register_file.hpp"
 
 namespace kami::core {
@@ -31,6 +33,20 @@ TEST(Planner, ExplicitInfeasibleRatioThrows) {
   opt.smem_ratio = 0.0;  // order 128 FP16 cannot fit registers alone
   EXPECT_THROW((void)plan_gemm(Algo::OneD, dev(), Precision::FP16, 128, 128, 128, opt),
                sim::RegisterOverflow);
+}
+
+TEST(Planner, InfeasibleMessageNamesAlgoAndShape) {
+  // 3D FP64 at order 128 exceeds GH200's register file at every warp cube
+  // and spill ratio; the rejection names the request so callers (and chaos
+  // logs) can reproduce it.
+  try {
+    (void)plan_gemm(Algo::ThreeD, dev(), Precision::FP64, 128, 128, 128, {});
+    FAIL() << "3D FP64 128^3 must be infeasible on GH200";
+  } catch (const sim::RegisterOverflow& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("algo=3d"), std::string::npos) << what;
+    EXPECT_NE(what.find("m=128"), std::string::npos) << what;
+  }
 }
 
 TEST(Planner, Order192EscalatesWarpCount) {

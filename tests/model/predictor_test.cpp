@@ -64,7 +64,7 @@ TEST(Predictor, CalibrationLearnsSystematicScale) {
   EXPECT_NEAR(p.scale, 1.2, 1e-9);
   EXPECT_NEAR(p.cycles, 1.2 * raw(48), 1e-6);
   // Identical residuals: the band collapses to its floor, not to zero.
-  EXPECT_DOUBLE_EQ(p.rel_band, pred.config().band_floor);
+  EXPECT_DOUBLE_EQ(p.rel_band, Predictor::kBandFloor);
 }
 
 TEST(Predictor, FitIsOrderIndependent) {
@@ -83,13 +83,13 @@ TEST(Predictor, FitIsOrderIndependent) {
 TEST(Predictor, DispersionWidensBandAndBreaksConfidence) {
   Predictor pred;
   // Ratios 1.0 and 2.0: no single scale explains both, so the padded band
-  // must exceed trust_rel_error and the bucket must not be trusted.
+  // must exceed kTrustRelError and the bucket must not be trusted.
   pred.observe(obs_for(32, 1.0 * raw(32)));
   pred.observe(obs_for(64, 2.0 * raw(64)));
   pred.observe(obs_for(96, 1.0 * raw(96)));
   const Prediction p = pred.predict(dev(), Algo::OneD, Precision::FP16, 48, 48, 48, 4);
   EXPECT_TRUE(p.calibrated);
-  EXPECT_GT(p.rel_band, pred.config().trust_rel_error);
+  EXPECT_GT(p.rel_band, Predictor::kTrustRelError);
   EXPECT_FALSE(p.confident);
 }
 
@@ -112,6 +112,7 @@ TEST(Predictor, BucketsSplitByAlgoWarpsAndIoCharging) {
 }
 
 TEST(Predictor, MinSamplesGateCalibration) {
+  static_assert(Predictor::kMinSamples == 3, "two observations stay below the gate");
   Predictor pred;
   pred.observe(obs_for(32, 1.2 * raw(32)));
   pred.observe(obs_for(64, 1.2 * raw(64)));
@@ -136,12 +137,11 @@ TEST(Predictor, RequireWithinBandThrowsTypedDivergence) {
   for (const std::size_t s : {32u, 64u, 96u}) pred.observe(obs_for(s, 1.2 * raw(s)));
   const Prediction p = pred.predict(dev(), Algo::OneD, Precision::FP16, 48, 48, 48, 4);
   // Inside the band: the prediction itself, trivially.
-  EXPECT_NO_THROW(
-      Predictor::require_within_band(p, p.cycles, pred.config(), "selftest"));
+  EXPECT_NO_THROW(Predictor::require_within_band(p, p.cycles, "selftest"));
   // Far outside: a typed ModelDivergence (catchable as such, not just as
   // runtime_error) carrying the context string.
   try {
-    Predictor::require_within_band(p, 10.0 * p.cycles, pred.config(), "selftest");
+    Predictor::require_within_band(p, 10.0 * p.cycles, "selftest");
     FAIL() << "expected ModelDivergence";
   } catch (const ModelDivergence& e) {
     EXPECT_NE(std::string(e.what()).find("selftest"), std::string::npos);

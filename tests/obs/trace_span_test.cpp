@@ -179,41 +179,40 @@ TEST(TraceSpan, GraftRebasesChildSpansUnderTheOpenSpan) {
 }
 
 TEST(FlightRecorder, EvictsOldestOkTracesPastCapacity) {
-  FlightRecorder::Config cfg;
-  cfg.completed_capacity = 3;
-  FlightRecorder rec(cfg);
-  for (int i = 0; i < 10; ++i) rec.record(ok_trace("req-" + std::to_string(i)));
-  EXPECT_EQ(rec.completed_count(), 3u);
+  constexpr std::size_t kCap = FlightRecorder::kCompletedCapacity;
+  FlightRecorder rec;
+  for (std::size_t i = 0; i < kCap + 7; ++i)
+    rec.record(ok_trace("req-" + std::to_string(i)));
+  EXPECT_EQ(rec.completed_count(), kCap);
   const auto traces = rec.snapshot();
-  ASSERT_EQ(traces.size(), 3u);
-  EXPECT_EQ(traces[0].request_id, "req-7");
-  EXPECT_EQ(traces[2].request_id, "req-9");
+  ASSERT_EQ(traces.size(), kCap);
+  EXPECT_EQ(traces.front().request_id, "req-7");
+  EXPECT_EQ(traces.back().request_id, "req-" + std::to_string(kCap + 6));
 }
 
 TEST(FlightRecorder, OkChurnNeverEvictsErrorTraces) {
-  FlightRecorder::Config cfg;
-  cfg.completed_capacity = 2;
-  cfg.error_capacity = 8;
-  FlightRecorder rec(cfg);
+  constexpr std::size_t kCap = FlightRecorder::kCompletedCapacity;
+  FlightRecorder rec;
   rec.record(error_trace("err-0"));
-  for (int i = 0; i < 100; ++i) rec.record(ok_trace("req-" + std::to_string(i)));
+  for (std::size_t i = 0; i < 3 * kCap; ++i)
+    rec.record(ok_trace("req-" + std::to_string(i)));
   rec.record(error_trace("err-1"));
   EXPECT_EQ(rec.error_count(), 2u);
-  EXPECT_EQ(rec.completed_count(), 2u);
+  EXPECT_EQ(rec.completed_count(), kCap);
 
   // Snapshot interleaves by record order: err-0 first, err-1 last.
   const auto traces = rec.snapshot();
-  ASSERT_EQ(traces.size(), 4u);
+  ASSERT_EQ(traces.size(), kCap + 2);
   EXPECT_EQ(traces.front().request_id, "err-0");
   EXPECT_EQ(traces.back().request_id, "err-1");
 }
 
 TEST(FlightRecorder, ErrorStoreIsItsOwnBoundedRing) {
-  FlightRecorder::Config cfg;
-  cfg.error_capacity = 4;
-  FlightRecorder rec(cfg);
-  for (int i = 0; i < 20; ++i) rec.record(error_trace("err-" + std::to_string(i)));
-  EXPECT_EQ(rec.error_count(), 4u);
+  constexpr std::size_t kCap = FlightRecorder::kErrorCapacity;
+  FlightRecorder rec;
+  for (std::size_t i = 0; i < kCap + 16; ++i)
+    rec.record(error_trace("err-" + std::to_string(i)));
+  EXPECT_EQ(rec.error_count(), kCap);
   EXPECT_EQ(rec.snapshot().front().request_id, "err-16");
 }
 
@@ -237,12 +236,13 @@ TEST(FlightRecorder, DumpRoundTripsThroughTracesFromJson) {
 // ThreadSanitizer CI target: concurrent recording and snapshotting must be
 // race-free and never lose an error trace.
 TEST(FlightRecorderConcurrency, ParallelRecordAndSnapshot) {
-  FlightRecorder::Config cfg;
-  cfg.completed_capacity = 16;
-  cfg.error_capacity = 1024;
-  FlightRecorder rec(cfg);
+  FlightRecorder rec;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
+  // Every error trace fits the error store; the ok traces overflow their ring.
+  constexpr std::size_t kErrorTraces = kThreads * kPerThread / 2;
+  static_assert(kErrorTraces <= FlightRecorder::kErrorCapacity);
+  static_assert(kErrorTraces > FlightRecorder::kCompletedCapacity);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -255,8 +255,8 @@ TEST(FlightRecorderConcurrency, ParallelRecordAndSnapshot) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(rec.error_count(), static_cast<std::size_t>(kThreads * kPerThread / 2));
-  EXPECT_EQ(rec.completed_count(), 16u);
+  EXPECT_EQ(rec.error_count(), kErrorTraces);
+  EXPECT_EQ(rec.completed_count(), FlightRecorder::kCompletedCapacity);
 
   // Every surviving trace is unique and sequence order is monotone.
   std::set<std::string> ids;

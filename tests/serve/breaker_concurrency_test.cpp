@@ -2,11 +2,14 @@
 // one-device FleetServer whose four workers race the shard's GemmServer: a
 // burst of failing requests trips a rung exactly once, the half-open window
 // admits concurrent probes without losing the recovery, and a failed probe
-// reopens. This suite runs under ThreadSanitizer in CI — the assertions
-// below are deliberately restricted to invariants that hold for every
-// interleaving of worker threads (breaker admission is mutex-serialized, so
-// short-circuit and probe *counts* are deterministic even when completion
-// order is not).
+// reopens. The breaker runs at its constants (GemmServer::
+// kBreakerFailureThreshold, kBreakerCooldownRequests), and every request the
+// KAMI-1D rung does not serve — failed or short-circuited — is served by the
+// reference rung, so the rung that served tells the outcomes apart. This
+// suite runs under ThreadSanitizer in CI — the assertions below are
+// deliberately restricted to invariants that hold for every interleaving of
+// worker threads (breaker admission is mutex-serialized, so short-circuit
+// and probe *counts* are deterministic even when completion order is not).
 #include <gtest/gtest.h>
 
 #include <future>
@@ -22,11 +25,11 @@ namespace kami {
 namespace {
 
 using serve::BreakerState;
-using serve::ErrorCode;
 using serve::FleetConfig;
 using serve::FleetDeviceConfig;
 using serve::FleetResult;
 using serve::FleetServer;
+using serve::GemmServer;
 
 double counter(const char* name) {
   return obs::MetricRegistry::global().counter(name).value();
@@ -41,16 +44,13 @@ std::pair<Matrix<T>, Matrix<T>> operands(std::size_t m, std::size_t n, std::size
   return {std::move(A), std::move(B)};
 }
 
-/// A one-device GH200 fleet drained by `workers` threads whose shard serves
-/// a single rung: degradation and reference fallback off, so a rung failure
-/// is a typed error instead of a lower rung masking the breaker.
-FleetConfig bare_rung(int workers, int failure_threshold, int cooldown_requests) {
+constexpr int kThreshold = GemmServer::kBreakerFailureThreshold;
+constexpr int kCooldown = GemmServer::kBreakerCooldownRequests;
+
+/// A one-device GH200 fleet drained by `workers` threads.
+FleetConfig one_gh200(int workers) {
   FleetDeviceConfig dev;
   dev.spec = sim::gh200();
-  dev.serve.allow_degradation = false;
-  dev.serve.allow_reference_fallback = false;
-  dev.serve.breaker_failure_threshold = failure_threshold;
-  dev.serve.breaker_cooldown_requests = cooldown_requests;
   FleetConfig cfg;
   cfg.devices = {dev};
   cfg.async_workers_per_device = workers;
@@ -69,15 +69,26 @@ verify::FaultHooks permanent_fault() {
   return hooks;
 }
 
+/// Trip the rung with kThreshold synchronous failing requests; each one is
+/// served by the reference rung.
+void trip(FleetServer& fleet, const Matrix<fp16_t>& A, const Matrix<fp16_t>& B) {
+  const verify::ScopedFault guard(permanent_fault());
+  for (int i = 0; i < kThreshold; ++i) {
+    const auto r = fleet.serve<fp16_t>(Algo::OneD, A, B);
+    ASSERT_TRUE(r.ok()) << r.result.message;
+    ASSERT_TRUE(r.result.from_reference);
+  }
+}
+
 TEST(BreakerConcurrency, ConcurrentFailuresTripTheRungExactlyOnce) {
   obs::ScopedMetricsReset reset;
-  constexpr std::size_t kBurst = 12;
+  // At least kThreshold requests run the rung before it trips; the rest of
+  // the burst fits in one cooldown, so no probe fires during it.
+  constexpr std::size_t kBurst = kThreshold + kCooldown;
 
   std::vector<std::future<FleetResult<fp16_t>>> futures;
   {
-    // Threshold 3, and a cooldown long enough that no probe fires during
-    // the burst.
-    FleetServer fleet(bare_rung(/*workers=*/4, 3, 1000));
+    FleetServer fleet(one_gh200(/*workers=*/4));
     const auto [A, B] = operands<fp16_t>(32, 32, 32);
     {
       // Hooks snapshot at submission: every queued request carries the fault.
@@ -87,64 +98,60 @@ TEST(BreakerConcurrency, ConcurrentFailuresTripTheRungExactlyOnce) {
     }
     for (auto& f : futures) {
       const FleetResult<fp16_t> r = f.get();
-      // Every request fails typed — by running the rung or by short-circuit,
-      // which reports the stored failure code, never a different one.
-      EXPECT_FALSE(r.ok());
-      EXPECT_EQ(r.result.code, ErrorCode::TransientFault) << r.result.message;
-      EXPECT_FALSE(r.result.message.empty());
+      // Every request leaves the faulted rung — by running it or by
+      // short-circuit — and is served by the reference rung.
+      ASSERT_TRUE(r.ok()) << r.result.message;
+      EXPECT_TRUE(r.result.from_reference);
     }
     EXPECT_EQ(rung_state(fleet), BreakerState::Open);
   }
   // However the 4 workers interleave, the Closed -> Open transition happens
-  // exactly once: later failures land on an already-open breaker, and the
-  // long cooldown means no probe could have closed and re-tripped it.
+  // exactly once: later failures land on an already-open breaker, and no
+  // request outlasted the cooldown to probe and re-trip it.
   EXPECT_EQ(counter("serve.breaker.trips"), 1.0);
   EXPECT_EQ(counter("serve.breaker.half_open_probes"), 0.0);
-  // With 4 workers at most threshold + in-flight requests ever run the rung;
-  // the rest of the burst must have been short-circuited.
-  EXPECT_GE(counter("serve.breaker.short_circuits"), 1.0);
-  EXPECT_EQ(counter("serve.errors"), static_cast<double>(kBurst));
+  // With 4 workers at most kThreshold + 3 in-flight requests ever run the
+  // rung; the rest of the burst must have been short-circuited.
+  EXPECT_GE(counter("serve.breaker.short_circuits"),
+            static_cast<double>(kBurst - kThreshold - 3));
+  EXPECT_EQ(counter("serve.served.reference"), static_cast<double>(kBurst));
+  EXPECT_EQ(counter("serve.served.kami_1d"), 0.0);
 }
 
 TEST(BreakerConcurrency, HalfOpenWindowAdmitsConcurrentProbesAndClosesOnce) {
   obs::ScopedMetricsReset reset;
-  constexpr std::size_t kBurst = 16;
+  constexpr std::size_t kBurst = 2 * kCooldown;
 
-  FleetServer fleet(bare_rung(/*workers=*/4, 1, 4));
+  FleetServer fleet(one_gh200(/*workers=*/4));
   const auto [A, B] = operands<fp16_t>(32, 32, 32);
-  {
-    const verify::ScopedFault guard(permanent_fault());
-    const auto r = fleet.serve<fp16_t>(Algo::OneD, A, B);
-    ASSERT_EQ(r.result.code, ErrorCode::TransientFault) << r.result.message;
-  }
+  trip(fleet, A, B);
   ASSERT_EQ(rung_state(fleet), BreakerState::Open);
   ASSERT_EQ(counter("serve.breaker.trips"), 1.0);
 
   // Fault cleared; a concurrent burst races the half-open transition. The
-  // admission gate is mutex-serialized, so exactly `cooldown` requests
-  // short-circuit, the next one flips the breaker half-open, and every
-  // request admitted during the half-open window (the race this test pins)
-  // serves — the first success closes the breaker, exactly once.
+  // admission gate is mutex-serialized, so exactly kCooldown requests
+  // short-circuit to the reference rung, the next one flips the breaker
+  // half-open, and every request admitted during the half-open window (the
+  // race this test pins) is served by KAMI-1D — the first success closes
+  // the breaker, exactly once.
   std::vector<std::future<FleetResult<fp16_t>>> futures;
   for (std::size_t i = 0; i < kBurst; ++i)
     futures.push_back(fleet.submit_async<fp16_t>(Algo::OneD, A, B));
-  std::size_t ok = 0, short_circuited = 0;
+  std::size_t on_rung = 0, short_circuited = 0;
   for (auto& f : futures) {
     const FleetResult<fp16_t> r = f.get();
-    if (r.ok()) {
-      ++ok;
-    } else {
+    ASSERT_TRUE(r.ok()) << r.result.message;
+    if (r.result.from_reference) {
       ++short_circuited;
-      // The stored code, and the breaker's short-circuit message.
-      EXPECT_EQ(r.result.code, ErrorCode::TransientFault) << r.result.message;
-      EXPECT_NE(r.result.message.find("short-circuited"), std::string::npos)
-          << r.result.message;
+    } else {
+      ++on_rung;
+      EXPECT_EQ(r.result.rung_label, "kami_1d");
     }
   }
-  EXPECT_EQ(short_circuited, 4u);
-  EXPECT_EQ(ok, kBurst - 4u);
+  EXPECT_EQ(short_circuited, static_cast<std::size_t>(kCooldown));
+  EXPECT_EQ(on_rung, kBurst - kCooldown);
   EXPECT_EQ(rung_state(fleet), BreakerState::Closed);
-  EXPECT_EQ(counter("serve.breaker.short_circuits"), 4.0);
+  EXPECT_EQ(counter("serve.breaker.short_circuits"), static_cast<double>(kCooldown));
   EXPECT_EQ(counter("serve.breaker.half_open_probes"), 1.0);
   EXPECT_EQ(counter("serve.breaker.closes"), 1.0);
   EXPECT_EQ(counter("serve.breaker.trips"), 1.0);  // never re-tripped
@@ -152,30 +159,33 @@ TEST(BreakerConcurrency, HalfOpenWindowAdmitsConcurrentProbesAndClosesOnce) {
 
 TEST(BreakerConcurrency, FailedProbeReopensUnderConcurrentLoad) {
   obs::ScopedMetricsReset reset;
-  constexpr std::size_t kBurst = 8;
+  // Long enough to outlast the cooldown at least once.
+  constexpr std::size_t kBurst = 2 * (kCooldown + 1);
 
   std::vector<std::future<FleetResult<fp16_t>>> futures;
   {
-    FleetServer fleet(bare_rung(/*workers=*/4, 1, 2));
+    FleetServer fleet(one_gh200(/*workers=*/4));
     const auto [A, B] = operands<fp16_t>(32, 32, 32);
-    const verify::ScopedFault guard(permanent_fault());
-    const auto r = fleet.serve<fp16_t>(Algo::OneD, A, B);
-    ASSERT_EQ(r.result.code, ErrorCode::TransientFault) << r.result.message;
+    trip(fleet, A, B);
+    ASSERT_EQ(rung_state(fleet), BreakerState::Open);
 
     // Fault still armed: every probe the concurrent burst earns fails and
-    // reopens the breaker; nothing can close it.
+    // reopens the breaker; nothing can close it, and the reference rung
+    // serves every request.
+    const verify::ScopedFault guard(permanent_fault());
     for (std::size_t i = 0; i < kBurst; ++i)
       futures.push_back(fleet.submit_async<fp16_t>(Algo::OneD, A, B));
     for (auto& f : futures) {
-      const FleetResult<fp16_t> r2 = f.get();
-      EXPECT_FALSE(r2.ok());
-      EXPECT_EQ(r2.result.code, ErrorCode::TransientFault) << r2.result.message;
+      const FleetResult<fp16_t> r = f.get();
+      ASSERT_TRUE(r.ok()) << r.result.message;
+      EXPECT_TRUE(r.result.from_reference);
     }
     EXPECT_EQ(rung_state(fleet), BreakerState::Open);
   }
+  EXPECT_GE(counter("serve.breaker.half_open_probes"), 1.0);
   EXPECT_GE(counter("serve.breaker.trips"), 2.0);  // initial trip + >= 1 reopen
   EXPECT_EQ(counter("serve.breaker.closes"), 0.0);
-  EXPECT_EQ(counter("serve.ok"), 0.0);
+  EXPECT_EQ(counter("serve.served.kami_1d"), 0.0);
 }
 
 }  // namespace

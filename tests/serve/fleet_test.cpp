@@ -312,10 +312,12 @@ TEST(FleetHedge, DeadlineRequestsHedgeAndTheFasterArmWins) {
 TEST(FleetAsync, OverflowReroutesThenRefusesTypedAndDrainCompletesAll) {
   obs::ScopedMetricsReset reset;
   FleetConfig cfg = twins(/*queue_depth=*/1);
-  // With the queue-pressure penalty on, the router itself would steer the
-  // second submission away from the full shard; disable it so the overflow
-  // reroute path (queue full at try_push) is the thing under test.
-  cfg.queue_depth_penalty = 0.0;
+  // Queue pressure alone would steer the second submission away from the
+  // full shard. Skew shard 0 to a quarter of its score: one queued request
+  // doubles it to half the twin's, so the router still ranks the full shard
+  // first and the overflow reroute path (queue full at try_push) is the
+  // thing under test.
+  cfg.route_skew = {0.25, 1.0};
   FleetServer fleet(std::move(cfg));
   std::vector<Matrix<fp16_t>> as, bs;
   std::vector<std::future<FleetResult<fp16_t>>> futures;

@@ -17,7 +17,6 @@ namespace {
 
 using serve::ErrorCode;
 using serve::GemmServer;
-using serve::ServeConfig;
 
 double counter(const char* name) {
   return obs::MetricRegistry::global().counter(name).value();
@@ -130,19 +129,6 @@ TEST(ServeLadder, ReferenceRungRunsTheProductionKernel) {
   EXPECT_EQ(counter("serve.served.reference"), 5.0);
 }
 
-TEST(ServeLadder, DegradationCanBeDisabled) {
-  ServeConfig cfg;
-  cfg.allow_degradation = false;
-  GemmServer server(cfg);
-  const auto [A, B] = operands<double>(128, 128, 128);
-  const auto r = server.serve<double>(Algo::ThreeD, sim::gh200(), A, B);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.code, ErrorCode::ResourceExhausted);
-  // Satellite: planner errors must name the shape and the failed constraint.
-  EXPECT_NE(r.message.find("m=128"), std::string::npos) << r.message;
-  EXPECT_NE(r.message.find("3d"), std::string::npos) << r.message;
-}
-
 TEST(ServeDeadline, TypedTerminalAndDeterministic) {
   const auto [A, B] = operands<fp16_t>(64, 64, 64);
   GemmOptions opt;
@@ -217,27 +203,8 @@ TEST(ServeRetry, PermanentFaultExhaustsRetriesAndServesFromReference) {
   ASSERT_TRUE(r.ok()) << r.message;
   EXPECT_TRUE(r.from_reference);
   EXPECT_EQ(r.rung_label, "reference");
-  EXPECT_EQ(r.attempts, server.config().max_attempts_per_rung + 1);
+  EXPECT_EQ(r.attempts, GemmServer::kMaxAttemptsPerRung + 1);
   EXPECT_TRUE(bits_equal(r.C, baselines::reference_gemm(A, B)));
-}
-
-TEST(ServeRetry, BackoffScheduleIsBoundedAndPublished) {
-  obs::ScopedMetricsReset reset;
-  ServeConfig cfg;
-  cfg.backoff_base_ms = 0.25;
-  cfg.backoff_max_ms = 0.4;  // cap below base*2 so the bound is observable
-  GemmServer server(cfg);
-  const auto [A, B] = operands<fp16_t>(64, 64, 64);
-
-  verify::FaultHooks fault;
-  fault.warp_advance_skew = -1e9;
-  fault.armed_runs = 2;  // two failing runs: retries back off 0.25 then 0.4
-  const verify::ScopedFault guard(fault);
-
-  const auto r = server.serve<fp16_t>(Algo::OneD, sim::gh200(), A, B);
-  ASSERT_TRUE(r.ok()) << r.message;
-  EXPECT_EQ(r.attempts, 3);
-  EXPECT_DOUBLE_EQ(counter("serve.backoff_ms"), 0.25 + 0.4);
 }
 
 TEST(ServeRetry, InjectedAllocationFailureDegradesOneRung) {
@@ -255,12 +222,18 @@ TEST(ServeRetry, InjectedAllocationFailureDegradesOneRung) {
   EXPECT_TRUE(bits_equal(r.C, baselines::reference_gemm(A, B)));
 }
 
+/// Permanently failing KAMI rungs: every attempt trips an invariant, and only
+/// the host reference is immune.
+verify::FaultHooks permanent_fault() {
+  verify::FaultHooks fault;
+  fault.warp_advance_skew = -1e9;
+  fault.armed_runs = -1;
+  return fault;
+}
+
 TEST(ServeBreaker, TripsShortCircuitsAndRecoversThroughHalfOpen) {
   obs::ScopedMetricsReset reset;
-  ServeConfig cfg;
-  cfg.breaker_failure_threshold = 1;
-  cfg.breaker_cooldown_requests = 1;
-  GemmServer server(cfg);
+  GemmServer server;
   const auto& dev = sim::gh200();
   const auto [A, B] = operands<fp16_t>(64, 64, 64);
   const auto rung_state = [&] {
@@ -269,23 +242,28 @@ TEST(ServeBreaker, TripsShortCircuitsAndRecoversThroughHalfOpen) {
   ASSERT_EQ(rung_state(), serve::BreakerState::Closed);
 
   {
-    verify::FaultHooks fault;
-    fault.warp_advance_skew = -1e9;
-    fault.armed_runs = -1;
-    const verify::ScopedFault guard(fault);
-    const auto r = server.serve<fp16_t>(Algo::OneD, dev, A, B);
-    ASSERT_TRUE(r.ok()) << r.message;
-    EXPECT_TRUE(r.from_reference);  // rung failed permanently this request
+    const verify::ScopedFault guard(permanent_fault());
+    for (int i = 0; i < GemmServer::kBreakerFailureThreshold; ++i) {
+      EXPECT_EQ(rung_state(), serve::BreakerState::Closed) << "request " << i;
+      const auto r = server.serve<fp16_t>(Algo::OneD, dev, A, B);
+      ASSERT_TRUE(r.ok()) << r.message;
+      EXPECT_TRUE(r.from_reference);  // rung failed permanently this request
+    }
   }
   EXPECT_EQ(rung_state(), serve::BreakerState::Open);
   EXPECT_EQ(counter("serve.breaker.trips"), 1.0);
 
-  // Fault cleared, but the open breaker short-circuits the rung for one
-  // cooldown request — served by reference without touching the simulator.
-  const auto blocked = server.serve<fp16_t>(Algo::OneD, dev, A, B);
-  ASSERT_TRUE(blocked.ok()) << blocked.message;
-  EXPECT_TRUE(blocked.from_reference);
-  EXPECT_EQ(counter("serve.breaker.short_circuits"), 1.0);
+  // Fault cleared, but the open breaker short-circuits the rung for the
+  // whole cooldown — served by reference without touching the simulator.
+  for (int i = 0; i < GemmServer::kBreakerCooldownRequests; ++i) {
+    const auto blocked = server.serve<fp16_t>(Algo::OneD, dev, A, B);
+    ASSERT_TRUE(blocked.ok()) << blocked.message;
+    EXPECT_TRUE(blocked.from_reference);
+    EXPECT_EQ(blocked.attempts, 1);  // the reference rung's only
+  }
+  EXPECT_EQ(counter("serve.breaker.short_circuits"),
+            static_cast<double>(GemmServer::kBreakerCooldownRequests));
+  EXPECT_EQ(rung_state(), serve::BreakerState::Open);
 
   // Cooldown expired: the next request is the half-open probe, it succeeds,
   // and the breaker closes again.
@@ -296,29 +274,28 @@ TEST(ServeBreaker, TripsShortCircuitsAndRecoversThroughHalfOpen) {
   EXPECT_EQ(rung_state(), serve::BreakerState::Closed);
   EXPECT_EQ(counter("serve.breaker.half_open_probes"), 1.0);
   EXPECT_EQ(counter("serve.breaker.closes"), 1.0);
-
-  server.reset_breakers();
-  EXPECT_EQ(rung_state(), serve::BreakerState::Closed);
 }
 
 TEST(ServeBreaker, FailedProbeReopens) {
-  ServeConfig cfg;
-  cfg.breaker_failure_threshold = 1;
-  cfg.breaker_cooldown_requests = 1;
-  GemmServer server(cfg);
+  obs::ScopedMetricsReset reset;
+  GemmServer server;
   const auto& dev = sim::gh200();
   const auto [A, B] = operands<fp16_t>(64, 64, 64);
+  const verify::ScopedFault guard(permanent_fault());
 
-  verify::FaultHooks fault;
-  fault.warp_advance_skew = -1e9;
-  fault.armed_runs = -1;
-  const verify::ScopedFault guard(fault);
-
-  (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // trips the breaker
-  (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // cooldown short-circuit
-  (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // probe runs, fails
+  for (int i = 0; i < GemmServer::kBreakerFailureThreshold; ++i)
+    (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // trips the breaker
+  for (int i = 0; i < GemmServer::kBreakerCooldownRequests; ++i)
+    (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // cooldown short-circuits
+  const auto probe = server.serve<fp16_t>(Algo::OneD, dev, A, B);  // runs, fails
+  ASSERT_TRUE(probe.ok()) << probe.message;
+  EXPECT_TRUE(probe.from_reference);
+  EXPECT_EQ(probe.attempts, GemmServer::kMaxAttemptsPerRung + 1);
   EXPECT_EQ(server.breaker_state(dev.name, Algo::OneD, Precision::FP16, 64, 64, 64),
             serve::BreakerState::Open);
+  EXPECT_EQ(counter("serve.breaker.half_open_probes"), 1.0);
+  EXPECT_EQ(counter("serve.breaker.trips"), 2.0);  // the trip and the reopen
+  EXPECT_EQ(counter("serve.breaker.closes"), 0.0);
 }
 
 TEST(ServeValidation, DegenerateShapesAreWellDefinedEmptyResults) {

@@ -1,7 +1,7 @@
 // Request-scoped tracing on the serving path: span-tree shapes for the
 // ladder's outcomes (clean serve, retry, degradation, breaker short-circuit,
-// deadline abort), SLO accounting, the serve.* latency histograms, and the
-// chaos campaign's worker-count-independent flight-recorder dump.
+// deadline abort), fleet SLO accounting, the serve.* latency histograms,
+// and the chaos campaign's worker-count-independent flight-recorder dump.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -110,11 +110,10 @@ TEST(TraceServe, CleanServeProducesTheCanonicalSpanTree) {
   EXPECT_EQ(attr_or(again[1].find_span("plan"), "profile_cache"), "hit");
 }
 
-TEST(TraceServe, RetryPathRecordsFailedAttemptAndBackoffSpan) {
+TEST(TraceServe, RetryPathRecordsFailedAttemptThenRetriesAtOnce) {
   const auto flight = std::make_shared<FlightRecorder>();
   ServeConfig cfg;
   cfg.flight = flight;
-  cfg.backoff_base_ms = 0.25;
   GemmServer server(cfg);
   const auto [A, B] = operands<fp16_t>(64, 64, 64);
 
@@ -130,15 +129,19 @@ TEST(TraceServe, RetryPathRecordsFailedAttemptAndBackoffSpan) {
   const auto traces = flight->snapshot();
   ASSERT_EQ(traces.size(), 1u);
   const RequestTrace& t = traces[0];
-  EXPECT_EQ(attr_or(t.find_span("attempt[1]"), "result"), "transient_fault");
-  EXPECT_NE(attr(t.find_span("attempt[1]"), "error"), nullptr);
-  EXPECT_EQ(attr_or(t.find_span("attempt[2]"), "result"), "ok");
-  const obs::Span* backoff = t.find_span("backoff");
-  ASSERT_NE(backoff, nullptr);
-  EXPECT_EQ(attr_or(backoff, "delay_ms"), "0.25");
-  // 0.25 ms at the device boost clock, in cycles.
-  EXPECT_EQ(backoff->duration_cycles(), 0.25 * sim::gh200().boost_clock_ghz * 1e6);
+  const obs::Span* failed = t.find_span("attempt[1]");
+  const obs::Span* retry = t.find_span("attempt[2]");
+  ASSERT_NE(failed, nullptr);
+  ASSERT_NE(retry, nullptr);
+  EXPECT_EQ(attr_or(failed, "result"), "transient_fault");
+  EXPECT_NE(attr(failed, "error"), nullptr);
+  EXPECT_EQ(attr_or(retry, "result"), "ok");
   EXPECT_EQ(attr_or(t.root(), "attempts"), "2");
+  // A simulated fault clears at once: the retry starts where the failed
+  // attempt ended, and the request costs exactly the serving kernel.
+  EXPECT_EQ(retry->begin_cycles, failed->end_cycles);
+  EXPECT_EQ(t.root()->end_cycles, r.profile.latency);
+  EXPECT_EQ(r.end_to_end_cycles, r.profile.latency);
 }
 
 TEST(TraceServe, DegradationWalksRungsInOneTrace) {
@@ -175,8 +178,6 @@ TEST(TraceServe, BreakerShortCircuitIsVisibleInTheRungSpan) {
   const auto flight = std::make_shared<FlightRecorder>();
   ServeConfig cfg;
   cfg.flight = flight;
-  cfg.breaker_failure_threshold = 1;
-  cfg.breaker_cooldown_requests = 1;
   GemmServer server(cfg);
   const auto& dev = sim::gh200();
   const auto [A, B] = operands<fp16_t>(64, 64, 64);
@@ -186,21 +187,27 @@ TEST(TraceServe, BreakerShortCircuitIsVisibleInTheRungSpan) {
     fault.warp_advance_skew = -1e9;
     fault.armed_runs = -1;
     const verify::ScopedFault guard(fault);
-    (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // trips the breaker
+    for (int i = 0; i < GemmServer::kBreakerFailureThreshold; ++i)
+      (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // trips the breaker
   }
-  (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // short-circuited
-  (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // half-open probe
+  for (int i = 0; i < GemmServer::kBreakerCooldownRequests; ++i)
+    (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);  // short-circuited
+  (void)server.serve<fp16_t>(Algo::OneD, dev, A, B);    // half-open probe
 
+  constexpr int kRequests =
+      GemmServer::kBreakerFailureThreshold + GemmServer::kBreakerCooldownRequests + 1;
   const auto traces = flight->snapshot();
-  ASSERT_EQ(traces.size(), 3u);
-  const obs::Span* blocked = traces[1].find_span("rung[0]");
+  ASSERT_EQ(traces.size(), static_cast<std::size_t>(kRequests));
+  const RequestTrace& first_blocked = traces[GemmServer::kBreakerFailureThreshold];
+  const obs::Span* blocked = first_blocked.find_span("rung[0]");
+  ASSERT_NE(blocked, nullptr);
   EXPECT_EQ(attr_or(blocked, "breaker"), "open");
   EXPECT_EQ(attr_or(blocked, "skipped"), "breaker_open");
   // The short-circuited rung never opens a plan or attempt span; the request
   // is served by the reference rung in the same trace.
-  EXPECT_EQ(traces[1].children_of(blocked->id).size(), 0u);
-  EXPECT_EQ(attr_or(traces[1].root(), "rung_label"), "reference");
-  EXPECT_EQ(attr_or(traces[2].find_span("rung[0]"), "breaker"), "half_open");
+  EXPECT_EQ(first_blocked.children_of(blocked->id).size(), 0u);
+  EXPECT_EQ(attr_or(first_blocked.root(), "rung_label"), "reference");
+  EXPECT_EQ(attr_or(traces.back().find_span("rung[0]"), "breaker"), "half_open");
 }
 
 TEST(TraceServe, DeadlineAbortIsATypedErrorTrace) {
@@ -372,15 +379,20 @@ TEST(SloAccounting, RejectedOnlyClassExportsZeroLatencyBlock) {
 }
 
 TEST(SloAccounting, ServerFeedsTheAttachedTracker) {
+  // The fleet is the one SLO writer; a single device is a one-device fleet.
   const auto slo = std::make_shared<SloTracker>();
-  ServeConfig cfg;
+  serve::FleetDeviceConfig dev;
+  dev.spec = sim::gh200();
+  serve::FleetConfig cfg;
+  cfg.devices = {dev};
+  cfg.async_workers_per_device = 0;
   cfg.slo = slo;  // SLO accounting works without a flight recorder
-  GemmServer server(cfg);
+  serve::FleetServer fleet(cfg);
   const auto [A, B] = operands<fp16_t>(64, 64, 64);
-  ASSERT_TRUE(server.serve<fp16_t>(Algo::OneD, sim::gh200(), A, B).ok());
+  ASSERT_TRUE(fleet.serve<fp16_t>(Algo::OneD, A, B).ok());
   GemmOptions opt;
   opt.deadline_cycles = 50.0;
-  ASSERT_FALSE(server.serve<fp16_t>(Algo::OneD, sim::gh200(), A, B, opt).ok());
+  ASSERT_FALSE(fleet.serve<fp16_t>(Algo::OneD, A, B, opt).ok());
 
   EXPECT_EQ(slo->total_requests(), 2u);
   const obs::Json doc = slo->to_json();
@@ -430,7 +442,7 @@ TEST(CampaignTraceDeterminism, FlightDumpAndSloAreWorkerCountInvariant) {
   // (a dispatched request that ended typed) is still retained.
   const auto flight = std::make_shared<FlightRecorder>();
   const serve::ChaosReport rep = serve::run_campaign(7, 24, 2, flight, nullptr);
-  EXPECT_EQ(flight->completed_count(), flight->config().completed_capacity);
+  EXPECT_EQ(flight->completed_count(), FlightRecorder::kCompletedCapacity);
   const auto deadline_aborts = rep.by_code.find("deadline_exceeded");
   ASSERT_NE(deadline_aborts, rep.by_code.end());
   EXPECT_GE(flight->error_count(), deadline_aborts->second);

@@ -117,6 +117,29 @@ TEST(Spgemm, EmptyOperandsGiveEmptyResult) {
   const auto r = spgemm_1d(dev(), A, B);
   EXPECT_EQ(r.C.nnz_blocks(), 0u);
   EXPECT_EQ(r.symbolic.nnz_blocks, 0u);
+  EXPECT_DOUBLE_EQ(r.useful_flops, 0.0);
+}
+
+TEST(Spgemm, ZMortonRectangularGridsMatchDensifiedReference) {
+  // Z-Morton block order and non-square block grids (64x128 * 128x32).
+  Rng rng(56);
+  const auto A =
+      BlockSparseMatrix<fp16_t>::random(64, 128, 0.5, rng, 16, BlockOrder::ZMorton);
+  const auto B =
+      BlockSparseMatrix<fp16_t>::random(128, 32, 0.5, rng, 16, BlockOrder::ZMorton);
+  const auto r = spgemm_1d(dev(), A, B);
+  const auto ref = baselines::reference_gemm(A.to_dense(), B.to_dense());
+  EXPECT_DOUBLE_EQ(max_abs_diff(r.C.to_dense(), ref), 0.0);
+}
+
+TEST(Spgemm, StructureBoundedBySymbolicPhase) {
+  // Structural nnz can only shrink from symbolic (exact numeric zeros).
+  Rng rng(57);
+  const auto A = BlockSparseMatrix<fp16_t>::random(64, 64, 0.4, rng);
+  const auto B = BlockSparseMatrix<fp16_t>::random(64, 64, 0.4, rng);
+  const auto r = spgemm_1d(dev(), A, B);
+  EXPECT_GT(r.symbolic.nnz_blocks, 0u);
+  EXPECT_LE(r.C.nnz_blocks(), r.symbolic.nnz_blocks);
 }
 
 TEST(Spgemm, Fp64Supported) {

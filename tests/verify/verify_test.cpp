@@ -131,8 +131,7 @@ TEST(ModelCheck, DivergenceIsTypedAndReported) {
   pred.rel_band = 0.05;
   pred.samples = 5;
   try {
-    model::Predictor::require_within_band(pred, 200.0, model::PredictorConfig{},
-                                          "divergence test");
+    model::Predictor::require_within_band(pred, 200.0, "divergence test");
     FAIL() << "expected ModelDivergence";
   } catch (const model::ModelDivergence& e) {
     const std::string what = e.what();
